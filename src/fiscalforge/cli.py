@@ -264,10 +264,8 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     with (out / "pairs.csv").open("w", encoding="utf-8") as fh:
         fh.write("t,pred_rnd,pred_sga,actual_rnd,actual_sga\n")
         for t, p in enumerate(pairs):
-            fh.write(
-                f"{t},{p.predicted[0]!r},{p.predicted[1]!r},"
-                f"{p.actual[0]!r},{p.actual[1]!r}\n"
-            )
+            cells = (repr(float(v)) for v in (*p.predicted, *p.actual))
+            fh.write(f"{t},{','.join(cells)}\n")
     print(f"mae: {report.mae:.6f}")
     print(f"rmse: {report.rmse:.6f}")
     print(f"cosine_similarity: {report.cosine_similarity:.6f}")

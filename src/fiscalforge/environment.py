@@ -14,6 +14,14 @@ then the divergence against the fixed prior is charged. Episodes run
 for exactly len(series) - 1 steps. An instance is single-threaded;
 independent instances over the same series may run in parallel.
 
+Nothing but the two action-dependent terms depends on the policy, so
+the constructor builds per-step tables once: the scaled states, the
+empirical shares, the belief vectors (by the same sequential
+update_belief loop), the belief penalties and the profit signals. A
+series with a non-positive rnd + sga in any quarter after the first
+raises DataError there. step() then validates the action, computes the
+accuracy and smoothness terms and reads the rest from the tables.
+
 State vectors are float64 arrays laid out [rnd, sga, net_income] in
 scaled units; actions and empirical allocations are length-2 simplex
 arrays [rnd_share, sga_share].
@@ -165,6 +173,22 @@ class BudgetEnv:
             ]
         )
         self._prior = np.array(self.belief_config.prior)
+        self._n_steps = len(series) - 1
+        empirical, alphas, belief_terms, profit_signals = [], [], [], []
+        alpha = self._prior
+        for t in range(self._n_steps):
+            shares = empirical_allocation(series, t)
+            alpha = update_belief(alpha, shares, self.belief_config.confidence)
+            empirical.append(shares)
+            alphas.append(alpha)
+            belief_terms.append(-self.reward_config.lambda2 * dirichlet_kl(alpha, self._prior))
+            nxt = series[t + 1]
+            expenses = nxt.rnd + nxt.sga
+            profit_signals.append((nxt.net_income - expenses) / expenses)
+        self._empirical = np.array(empirical)
+        self._alphas = np.array(alphas)
+        self._belief_terms = belief_terms
+        self._profit_signals = profit_signals
         self._trace_enabled = trace
         self.trace_records: list[dict[str, Any]] = []
         self._t: int | None = None
@@ -174,7 +198,7 @@ class BudgetEnv:
     @property
     def n_steps(self) -> int:
         """Steps per episode: one per quarter transition."""
-        return len(self.series) - 1
+        return self._n_steps
 
     @property
     def t(self) -> int | None:
@@ -182,7 +206,7 @@ class BudgetEnv:
 
     @property
     def done(self) -> bool:
-        return self._t is not None and self._t >= self.n_steps
+        return self._t is not None and self._t >= self._n_steps
 
     @property
     def alpha(self) -> np.ndarray:
@@ -203,14 +227,14 @@ class BudgetEnv:
             raise SequenceError("step() after the episode finished")
         a = validate_action(action)
         t = self._t
-        empirical = empirical_allocation(self.series, t)
+        empirical = self._empirical[t]
 
         accuracy = -float(np.abs(a - empirical).sum())
         smoothness = -self.reward_config.lambda1 * float(
             np.linalg.norm(a - self._prev_action)
         )
-        self._alpha = update_belief(self._alpha, empirical, self.belief_config.confidence)
-        belief = -self.reward_config.lambda2 * dirichlet_kl(self._alpha, self._prior)
+        self._alpha = self._alphas[t]
+        belief = self._belief_terms[t]
         total = accuracy + smoothness + belief
         reward = RewardBreakdown(accuracy, smoothness, belief, total)
 
@@ -218,14 +242,12 @@ class BudgetEnv:
         self._t = t + 1
         next_state = self._states[self._t].copy()
 
-        nxt = self.series[t + 1]
-        expenses = nxt.rnd + nxt.sga
         info = {
             "t": t,
             "action": a.copy(),
-            "empirical": empirical,
+            "empirical": empirical.copy(),
             "alpha": self._alpha.copy(),
-            "profit_signal": (nxt.net_income - expenses) / expenses,
+            "profit_signal": self._profit_signals[t],
         }
         if self._trace_enabled:
             self.trace_records.append(

@@ -9,11 +9,21 @@ losslessly.
 
 Hidden activations are tanh. Everything is float64 and pure: forward
 and backward are functions of (params, input) only.
+
+One forward kernel, ``_forward_cached``, serves every caller. It keeps
+each layer's weight view, input and output in its cache, so a gradient
+never repeats the forward pass: ``_backward`` runs from that cache and
+writes the flat parameter gradient into one preallocated array, and
+``vjp_batch`` is just the two composed. Callers that need both the
+output and its gradient (the TD3 updates) run the forward pass once and
+hand its cache to ``_backward``. The flat layout's slices are computed
+once per ``MlpSpec``.
 """
 
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +73,19 @@ class MlpSpec:
         return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
 
     def param_count(self) -> int:
-        return sum(out * inp + out for out, inp in self.layer_shapes())
+        return self._layout[-1][1].stop
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[slice, slice, tuple[int, int]], ...]:
+        """(weight slice, bias slice, weight shape) per layer of the flat vector."""
+        layout = []
+        pos = 0
+        for out, inp in self.layer_shapes():
+            w = slice(pos, pos + out * inp)
+            pos += out * inp
+            layout.append((w, slice(pos, pos + out), (out, inp)))
+            pos += out
+        return tuple(layout)
 
 
 def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
@@ -85,15 +107,7 @@ def unflatten(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.nd
             f"parameter vector of length {params.size} does not match "
             f"spec count {spec.param_count()}"
         )
-    layers = []
-    pos = 0
-    for out, inp in spec.layer_shapes():
-        w = params[pos : pos + out * inp].reshape(out, inp)
-        pos += out * inp
-        b = params[pos : pos + out]
-        pos += out
-        layers.append((w, b))
-    return layers
+    return [(params[w].reshape(shape), params[b]) for w, b, shape in spec._layout]
 
 
 def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -105,34 +119,70 @@ def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _forward_cached(params, spec, x):
-    """Batched forward pass; returns (output, per-layer activation cache)."""
+    """Batched forward pass; returns (output, cache).
+
+    The cache holds (weight view, layer input, layer output) per layer,
+    input to output: all that _backward needs.
+    """
     layers = unflatten(params, spec)
     cache = []
     a = x
     for w, b in layers[:-1]:
-        h = np.tanh(a @ w.T + b)
-        cache.append((a, h))
+        h = a @ w.T
+        h += b
+        np.tanh(h, out=h)
+        cache.append((w, a, h))
         a = h
     w, b = layers[-1]
-    logits = a @ w.T + b
-    y = _softmax_rows(logits) if spec.output_head == SIMPLEX else logits
-    cache.append((a, y))
+    y = a @ w.T
+    y += b
+    if spec.output_head == SIMPLEX:
+        # Row-wise normalized exponential, shifted by the row maximum.
+        y -= y.max(axis=1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=1, keepdims=True)
+    cache.append((w, a, y))
     return y, cache
+
+
+def _backward(spec, cache, upstream):
+    """Vector-Jacobian product from a _forward_cached cache.
+
+    upstream is d(objective)/d(output), shape (batch, output_dim).
+    Returns (flat parameter gradient, gradient w.r.t. the input rows).
+    """
+    grad = np.empty(spec.param_count())
+    g_prev = None
+    for (w, a_in, out), (w_slice, b_slice, shape) in zip(cache[::-1], spec._layout[::-1]):
+        if g_prev is None:
+            if spec.output_head == SIMPLEX:
+                # Through the normalized-exponential head: dz = y * (u - <u, y>).
+                g = out * (upstream - (upstream * out).sum(axis=1, keepdims=True))
+            else:
+                g = upstream
+        else:
+            # Through tanh: dz = g * (1 - h^2).
+            g = out * out
+            np.subtract(1.0, g, out=g)
+            np.multiply(g_prev, g, out=g)
+        np.matmul(g.T, a_in, out=grad[w_slice].reshape(shape))
+        np.add.reduce(g, axis=0, out=grad[b_slice])
+        g_prev = g @ w
+    return grad, g_prev
+
+
+def _as_batch(spec: MlpSpec, x) -> np.ndarray:
+    """x as a float64 (n, input_dim) matrix, or ShapeError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ShapeError(f"expected input of shape (n, {spec.input_dim}), got {x.shape}")
+    return x
 
 
 def forward_batch(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
     """Forward over a (batch, input_dim) matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ShapeError(f"expected input of shape (n, {spec.input_dim}), got {x.shape}")
-    return _forward_cached(params, spec, x)[0]
+    return _forward_cached(params, spec, _as_batch(spec, x))[0]
 
 
 def forward_actor(params: np.ndarray, spec: MlpSpec, state: np.ndarray) -> np.ndarray:
@@ -166,39 +216,15 @@ def vjp_batch(
     upstream is d(objective)/d(output), shape (batch, output_dim).
     Returns (flat parameter gradient, gradient w.r.t. the input rows).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_batch(spec, x)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ShapeError(f"expected input of shape (n, {spec.input_dim}), got {x.shape}")
     if upstream.shape != (x.shape[0], spec.output_dim):
         raise ShapeError(
             f"upstream gradient shape {upstream.shape} does not match "
             f"({x.shape[0]}, {spec.output_dim})"
         )
     _, cache = _forward_cached(params, spec, x)
-    layers = unflatten(params, spec)
-
-    a_prev, y = cache[-1]
-    if spec.output_head == SIMPLEX:
-        # Through the normalized-exponential head: dz = y * (u - <u, y>).
-        g = y * (upstream - (upstream * y).sum(axis=1, keepdims=True))
-    else:
-        g = upstream
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
-    w_last, _ = layers[-1]
-    grads.append((g.T @ a_prev, g.sum(axis=0)))
-    g_prev = g @ w_last
-
-    for idx in range(len(layers) - 2, -1, -1):
-        a_in, h = cache[idx]
-        g = g_prev * (1.0 - h * h)
-        w, _ = layers[idx]
-        grads.append((g.T @ a_in, g.sum(axis=0)))
-        g_prev = g @ w
-
-    grads.reverse()
-    return flatten(grads), g_prev
+    return _backward(spec, cache, upstream)
 
 
 def backward(

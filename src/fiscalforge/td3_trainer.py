@@ -8,6 +8,13 @@ target copies of all three networks. Exploration is Gaussian noise on
 the actor output, re-projected onto the allocation simplex; the warmup
 phase fills the buffer with uniform-random allocations.
 
+An update runs each network forward exactly once: the target actor and
+both target critics for the regression targets, each online critic for
+its loss, and, on actor steps, the actor and critic 1 for the policy
+gradient. Every gradient is taken from the cache of that one pass. The
+replay buffer is a preallocated struct-of-arrays ring, so a minibatch is
+one index gather per field.
+
 Updates are plain gradient steps so every operation here stays a pure
 function of its arguments; training as a whole is a deterministic
 function of (environment, config) including the seed.
@@ -24,19 +31,20 @@ from .neural_core import (
     SIMPLEX,
     ActorPolicy,
     MlpSpec,
+    _as_batch,
+    _backward,
+    _forward_cached,
     forward_actor,
     forward_batch,
     init_params,
-    vjp_batch,
 )
 
 __all__ = [
-    "Transition",
     "ReplayBuffer",
     "TD3Config",
     "TrainedPolicy",
-    "compute_target",
-    "smoothed_target_action",
+    "smoothed_target_actions",
+    "compute_targets",
     "critic_update",
     "actor_update",
     "soft_update",
@@ -59,48 +67,56 @@ def critic_spec() -> MlpSpec:
     return MlpSpec(STATE_DIM + ACTION_DIM, CRITIC_HIDDEN, 1, LINEAR)
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    done: bool
-
-
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions, oldest evicted first."""
+    """Fixed-capacity ring of transitions, oldest evicted first.
+
+    Each field is one preallocated array with a row per slot; the
+    pages are touched only as the ring fills.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ContractError("capacity must be positive")
         self.capacity = capacity
-        self._items: list[Transition] = []
+        self._states = np.empty((capacity, STATE_DIM))
+        self._actions = np.empty((capacity, ACTION_DIM))
+        self._rewards = np.empty(capacity)
+        self._next_states = np.empty((capacity, STATE_DIM))
+        self._dones = np.empty(capacity, dtype=bool)
+        self._size = 0
         self._cursor = 0
         self.inserted = 0
 
-    def push(self, tr: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(tr)
-        else:
-            self._items[self._cursor] = tr
-        self._cursor = (self._cursor + 1) % self.capacity
+    def push(self, state: np.ndarray, action: np.ndarray, reward: float,
+             next_state: np.ndarray, done: bool) -> None:
+        i = self._cursor
+        self._states[i] = state
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._next_states[i] = next_state
+        self._dones[i] = done
+        self._cursor = (i + 1) % self.capacity
+        if self._size < self.capacity:
+            self._size += 1
         self.inserted += 1
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
-    def snapshot(self) -> list[Transition]:
-        """Contents in insertion order, oldest first."""
-        if len(self._items) < self.capacity:
-            return list(self._items)
-        return self._items[self._cursor:] + self._items[: self._cursor]
+    def _fields(self, idx):
+        return (self._states[idx], self._actions[idx], self._rewards[idx],
+                self._next_states[idx], self._dones[idx])
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        if len(self._items) == 0:
+    def snapshot(self) -> tuple[np.ndarray, ...]:
+        """(states, actions, rewards, next_states, dones), oldest first."""
+        start = self._cursor if self._size == self.capacity else 0
+        return self._fields((start + np.arange(self._size)) % self.capacity)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        """(states, actions, rewards, next_states, dones) of uniform draws."""
+        if self._size == 0:
             raise ContractError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        return self._fields(rng.integers(0, self._size, size=batch_size))
 
 
 @dataclass(frozen=True)
@@ -143,27 +159,7 @@ class TrainedPolicy(ActorPolicy):
     critic_spec: MlpSpec | None = None
 
 
-def compute_target(r: float, gamma: float, done: bool, q1_next: float, q2_next: float) -> float:
-    """Bootstrapped regression target with the clipped double estimate."""
-    if done:
-        return r
-    return r + gamma * min(q1_next, q2_next)
-
-
-def smoothed_target_action(
-    actor_target: ActorPolicy,
-    next_state: np.ndarray,
-    sigma: float,
-    clip: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Target-actor output plus clipped Gaussian noise, back on the simplex."""
-    a = actor_target.act(next_state)
-    noise = np.clip(rng.normal(0.0, sigma, size=a.shape), -clip, clip)
-    return clip_to_simplex(a + noise)
-
-
-def _smoothed_target_actions_batch(
+def smoothed_target_actions(
     params: np.ndarray,
     spec: MlpSpec,
     next_states: np.ndarray,
@@ -171,7 +167,11 @@ def _smoothed_target_actions_batch(
     clip: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Batched twin of smoothed_target_action (one noise draw per row)."""
+    """Target-actor outputs plus clipped Gaussian noise, back on the simplex.
+
+    One noise draw per row; a row whose clamped sum is zero becomes
+    uniform, as in clip_to_simplex.
+    """
     a = forward_batch(params, spec, next_states)
     noise = np.clip(rng.normal(0.0, sigma, size=a.shape), -clip, clip)
     out = np.clip(a + noise, 0.0, 1.0)
@@ -180,6 +180,33 @@ def _smoothed_target_actions_batch(
     out[degenerate] = 0.5
     sums[degenerate] = 1.0
     return out / sums
+
+
+def compute_targets(
+    actor_target: np.ndarray,
+    critic1_target: np.ndarray,
+    critic2_target: np.ndarray,
+    actor: MlpSpec,
+    critic: MlpSpec,
+    rewards: np.ndarray,
+    next_states: np.ndarray,
+    dones: np.ndarray,
+    config: TD3Config,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Bootstrapped regression targets with the clipped double estimate.
+
+    r + gamma * min(Q1'(s', a'), Q2'(s', a')) at the smoothed target
+    action a', or r alone where the episode ended.
+    """
+    next_actions = smoothed_target_actions(
+        actor_target, actor, next_states,
+        config.target_noise_sigma, config.target_noise_clip, rng,
+    )
+    next_x = np.concatenate([next_states, next_actions], axis=1)
+    q1_next = forward_batch(critic1_target, critic, next_x)[:, 0]
+    q2_next = forward_batch(critic2_target, critic, next_x)[:, 0]
+    return np.where(dones, rewards, rewards + config.gamma * np.minimum(q1_next, q2_next))
 
 
 def critic_update(
@@ -191,7 +218,7 @@ def critic_update(
     learning_rate: float,
 ) -> tuple[list[np.ndarray], float]:
     """One mean-squared-error descent step per critic; returns mean loss."""
-    x = np.concatenate([states, actions], axis=1)
+    x = _as_batch(spec, np.concatenate([states, actions], axis=1))
     n = x.shape[0]
     if n == 0:
         raise ContractError("empty batch")
@@ -199,12 +226,12 @@ def critic_update(
     updated = []
     losses = []
     for params in critic_params:
-        pred = forward_batch(params, spec, x)
+        pred, cache = _forward_cached(params, spec, x)
         err = pred - y
         loss = float((err * err).mean())
         if not np.isfinite(loss):
             raise NumericError("critic loss diverged to a non-finite value")
-        grad, _ = vjp_batch(params, spec, x, 2.0 * err / n)
+        grad, _ = _backward(spec, cache, 2.0 * err / n)
         updated.append(params - learning_rate * grad)
         losses.append(loss)
     return updated, float(np.mean(losses))
@@ -223,12 +250,14 @@ def actor_update(
     The gradient reaches the actor through the action slice of the
     critic's input; critic parameters stay fixed.
     """
+    states = _as_batch(actor, states)
     n = states.shape[0]
-    actions = forward_batch(actor_params, actor, states)
-    x = np.concatenate([states, actions], axis=1)
-    _, input_grad = vjp_batch(critic1_params, critic, x, np.full((n, 1), 1.0 / n))
+    actions, actor_cache = _forward_cached(actor_params, actor, states)
+    x = _as_batch(critic, np.concatenate([states, actions], axis=1))
+    _, critic_cache = _forward_cached(critic1_params, critic, x)
+    _, input_grad = _backward(critic, critic_cache, np.full((n, 1), 1.0 / n))
     action_grad = input_grad[:, states.shape[1]:]
-    actor_grad, _ = vjp_batch(actor_params, actor, states, action_grad)
+    actor_grad, _ = _backward(actor, actor_cache, action_grad)
     if not np.all(np.isfinite(actor_grad)):
         raise NumericError("actor gradient is non-finite")
     return actor_params + learning_rate * actor_grad
@@ -266,10 +295,8 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
             noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
             action = clip_to_simplex(forward_actor(actor, a_spec, state) + noise)
         result = env.step(action)
-        buffer.push(
-            Transition(state, result.info["action"], result.reward.total,
-                       result.next_state, result.done)
-        )
+        buffer.push(state, result.info["action"], result.reward.total,
+                    result.next_state, result.done)
         episode_total += result.reward.total
         state = result.next_state
         if result.done:
@@ -280,22 +307,10 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
         if step <= config.warmup_steps or len(buffer) < config.batch_size:
             continue
 
-        batch = buffer.sample(config.batch_size, rng)
-        states = np.stack([tr.state for tr in batch])
-        actions = np.stack([tr.action for tr in batch])
-        rewards = np.array([tr.reward for tr in batch])
-        next_states = np.stack([tr.next_state for tr in batch])
-        dones = np.array([tr.done for tr in batch])
-
-        next_actions = _smoothed_target_actions_batch(
-            actor_t, a_spec, next_states,
-            config.target_noise_sigma, config.target_noise_clip, rng,
-        )
-        next_x = np.concatenate([next_states, next_actions], axis=1)
-        q1_next = forward_batch(critic1_t, c_spec, next_x)[:, 0]
-        q2_next = forward_batch(critic2_t, c_spec, next_x)[:, 0]
-        targets = np.where(
-            dones, rewards, rewards + config.gamma * np.minimum(q1_next, q2_next)
+        states, actions, rewards, next_states, dones = buffer.sample(config.batch_size, rng)
+        targets = compute_targets(
+            actor_t, critic1_t, critic2_t, a_spec, c_spec,
+            rewards, next_states, dones, config, rng,
         )
 
         (critic1, critic2), _ = critic_update(

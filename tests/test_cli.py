@@ -191,6 +191,17 @@ class TestEvaluateCommand:
             (tmp_path / "out" / "metrics.json").read_text()
         )["n_quarters"]
 
+    def test_pairs_csv_cells_are_plain_floats(self, tmp_path):
+        config = _write_config(tmp_path)
+        main(["train", "--config", str(config)])
+        main(["evaluate", "--config", str(config)])
+        lines = (tmp_path / "out" / "pairs.csv").read_text().splitlines()
+        for t, line in enumerate(lines[1:]):
+            cells = [float(cell) for cell in line.split(",")]
+            assert len(cells) == 5 and cells[0] == t
+            assert abs(cells[1] + cells[2] - 1.0) <= 1e-9
+            assert abs(cells[3] + cells[4] - 1.0) <= 1e-9
+
     def test_deterministic_outputs(self, tmp_path):
         config = _write_config(tmp_path)
         main(["train", "--config", str(config)])

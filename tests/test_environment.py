@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiscalforge.data_ingest import fit_scaler
 from fiscalforge.environment import (
@@ -17,6 +19,7 @@ from fiscalforge.environment import (
     write_trace,
 )
 from fiscalforge.errors import ContractError, DataError, SequenceError, ShapeError
+from fiscalforge.special_functions import dirichlet_kl
 
 from conftest import DATA_DIR, make_series
 
@@ -116,6 +119,16 @@ class TestReset:
     def test_too_short_series(self):
         with pytest.raises(DataError):
             _env(BASIC_ROWS[:1])
+
+    def test_degenerate_quarter_rejected_at_construction(self):
+        with pytest.raises(DataError, match="rnd \\+ sga is not positive"):
+            _env([(10, 10, 1), (20, 20, 2), (0, 0, 3), (20, 20, 4)])
+
+    def test_degenerate_first_quarter_accepted(self):
+        """Quarter 0 is only ever a state, never an allocation target."""
+        env = _env([(0, 0, 1), (20, 20, 2)])
+        env.reset()
+        assert env.step(np.array([0.5, 0.5])).done
 
 
 class TestStep:
@@ -266,3 +279,55 @@ class TestTrace:
         assert len(lines) == len(BASIC_ROWS) - 1
         record = json.loads(lines[0])
         assert set(record) == {"t", "action", "empirical", "reward_terms", "alpha"}
+
+
+_positive = st.floats(0.0, 100.0, allow_nan=False)
+_rows = st.lists(
+    st.tuples(_positive, _positive, st.floats(-50.0, 50.0)).filter(lambda r: r[0] + r[1] > 0),
+    min_size=2, max_size=8,
+)
+
+
+class TestStepTables:
+    """The table-driven step against a direct per-step computation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=_rows,
+        shares=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+        lambdas=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+        prior=st.tuples(st.floats(0.1, 20.0), st.floats(0.1, 20.0)),
+        confidence=st.floats(0.0, 5.0),
+    )
+    def test_step_equals_direct_computation(self, rows, shares, lambdas, prior, confidence):
+        series = make_series(rows)
+        reward = RewardConfig(*lambdas)
+        env = BudgetEnv(series, _scaler(), reward, BeliefConfig(prior, confidence))
+        env.reset()
+        prior = np.array(prior)
+        alpha, prev = prior.copy(), np.array([0.5, 0.5])
+        for t in range(len(series) - 1):
+            action = np.array([shares[t], 1.0 - shares[t]])
+            result = env.step(action)
+
+            a = validate_action(action)
+            empirical = empirical_allocation(series, t)
+            alpha = update_belief(alpha, empirical, confidence)
+            accuracy = -float(np.abs(a - empirical).sum())
+            smoothness = -reward.lambda1 * float(np.linalg.norm(a - prev))
+            belief = -reward.lambda2 * dirichlet_kl(alpha, prior)
+            nxt = series[t + 1]
+            expenses = nxt.rnd + nxt.sga
+            prev = a
+
+            r = result.reward
+            assert (r.accuracy_term, r.smoothness_term, r.belief_term, r.total) == (
+                accuracy, smoothness, belief, accuracy + smoothness + belief
+            )
+            np.testing.assert_array_equal(env.alpha, alpha)
+            np.testing.assert_array_equal(result.info["alpha"], alpha)
+            np.testing.assert_array_equal(result.info["action"], a)
+            np.testing.assert_array_equal(result.info["empirical"], empirical)
+            assert result.info["t"] == t
+            assert result.info["profit_signal"] == (nxt.net_income - expenses) / expenses
+            assert result.done == (t == len(series) - 2)

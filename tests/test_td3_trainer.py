@@ -1,62 +1,101 @@
 """Trainer mechanics: targets, noise, replay, updates, end-to-end runs."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from fiscalforge.data_ingest import fit_scaler
-from fiscalforge.environment import BudgetEnv
-from fiscalforge.errors import ContractError, ShapeError
+from fiscalforge.data_ingest import chrono_split, fit_scaler, load_series
+from fiscalforge.environment import BudgetEnv, clip_to_simplex
+from fiscalforge.errors import ContractError, NumericError, ShapeError
 from fiscalforge.neural_core import (
-    ActorPolicy,
     MlpSpec,
+    forward_actor,
     forward_batch,
     init_params,
+    vjp_batch,
 )
 from fiscalforge.td3_trainer import (
+    ACTION_DIM,
     ReplayBuffer,
     TD3Config,
-    Transition,
+    actor_spec,
     actor_update,
-    compute_target,
+    compute_targets,
+    critic_spec,
     critic_update,
-    smoothed_target_action,
+    smoothed_target_actions,
     soft_update,
     train,
 )
 
-from conftest import make_series
+from conftest import FIXTURE_CSV, make_series
+
+CRITIC_SPEC = MlpSpec(5, (4,), 1, "linear")
+ACTOR_SPEC = MlpSpec(3, (4,), 2, "simplex")
+
+
+def _constant_critic(q):
+    """Critic parameters with Q(s, a) = q exactly: zero weights, output bias q."""
+    params = np.zeros(CRITIC_SPEC.param_count())
+    params[-1] = q
+    return params
+
+
+def _targets(rewards, dones, critic1, critic2, gamma=0.99, seed=0):
+    """compute_targets with a fixed target actor; next states come from seed + 100."""
+    rewards = np.atleast_1d(np.asarray(rewards, dtype=np.float64))
+    n = rewards.size
+    next_states = np.random.default_rng(seed + 100).normal(size=(n, 3))
+    return compute_targets(
+        init_params(ACTOR_SPEC, 3), critic1, critic2, ACTOR_SPEC, CRITIC_SPEC,
+        rewards, next_states, np.broadcast_to(np.asarray(dones), (n,)),
+        TD3Config(gamma=gamma), np.random.default_rng(seed),
+    )
 
 
 class TestComputeTarget:
     def test_direct_arithmetic(self):
         """0.1 + 0.99 * min(1.0, 0.5) = 0.595."""
-        assert compute_target(0.1, 0.99, False, 1.0, 0.5) == pytest.approx(0.595)
+        got = _targets([0.1], False, _constant_critic(1.0), _constant_critic(0.5))
+        assert got[0] == pytest.approx(0.595)
 
     def test_terminal_cuts_bootstrap(self):
-        assert compute_target(-3.2, 0.99, True, 10.0, 20.0) == -3.2
+        got = _targets([-3.2], True, _constant_critic(10.0), _constant_critic(20.0))
+        assert got[0] == -3.2
 
     def test_myopic_limit(self):
-        assert compute_target(0.7, 0.0, False, 5.0, 9.0) == 0.7
+        got = _targets([0.7], False, _constant_critic(5.0), _constant_critic(9.0), gamma=0.0)
+        assert got[0] == 0.7
 
     def test_symmetric_in_critics(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            r, q1, q2 = rng.normal(size=3)
-            assert compute_target(r, 0.9, False, q1, q2) == compute_target(
-                r, 0.9, False, q2, q1
-            )
+        rewards = rng.normal(size=100)
+        c1 = rng.normal(0, 0.5, size=CRITIC_SPEC.param_count())
+        c2 = rng.normal(0, 0.5, size=CRITIC_SPEC.param_count())
+        np.testing.assert_array_equal(
+            _targets(rewards, False, c1, c2, gamma=0.9),
+            _targets(rewards, False, c2, c1, gamma=0.9),
+        )
 
     def test_never_exceeds_either_bootstrap(self):
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            r, q1, q2 = rng.normal(size=3)
-            y = compute_target(r, 0.95, False, q1, q2)
-            assert y <= r + 0.95 * q1 + 1e-12
-            assert y <= r + 0.95 * q2 + 1e-12
+        rewards = rng.normal(size=100)
+        critics = [rng.normal(0, 0.5, size=CRITIC_SPEC.param_count()) for _ in range(2)]
+        y = _targets(rewards, False, *critics, gamma=0.95, seed=4)
+        next_states = np.random.default_rng(104).normal(size=(100, 3))
+        next_actions = smoothed_target_actions(
+            init_params(ACTOR_SPEC, 3), ACTOR_SPEC, next_states, 0.2, 0.5,
+            np.random.default_rng(4),
+        )
+        x = np.concatenate([next_states, next_actions], axis=1)
+        for critic in critics:
+            q = forward_batch(critic, CRITIC_SPEC, x)[:, 0]
+            assert np.all(y <= rewards + 0.95 * q + 1e-12)
 
 
 class _FixedNoise:
-    """Stand-in generator returning a preset noise vector."""
+    """Stand-in generator returning a preset noise array."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
@@ -66,74 +105,75 @@ class _FixedNoise:
 
 
 class TestSmoothedTargetAction:
-    def _policy(self, seed=3):
-        spec = MlpSpec(3, (4,), 2, "simplex")
-        return ActorPolicy(spec, init_params(spec, seed))
+    def _params(self, seed=3):
+        return init_params(ACTOR_SPEC, seed)
 
     def test_zero_sigma_is_plain_actor_output(self):
-        policy = self._policy()
-        state = np.array([0.2, 0.4, 0.6])
+        params = self._params()
+        states = np.array([[0.2, 0.4, 0.6], [-1.0, 0.0, 2.0]])
         rng = np.random.default_rng(0)
-        out = smoothed_target_action(policy, state, 0.0, 0.5, rng)
-        np.testing.assert_allclose(out, policy.act(state), atol=1e-15)
+        out = smoothed_target_actions(params, ACTOR_SPEC, states, 0.0, 0.5, rng)
+        np.testing.assert_allclose(out, forward_batch(params, ACTOR_SPEC, states), atol=1e-15)
 
     def test_always_on_simplex(self):
-        policy = self._policy()
+        params = self._params()
         rng = np.random.default_rng(12)
-        for _ in range(200):
-            out = smoothed_target_action(policy, rng.normal(size=3), 0.3, 0.5, rng)
-            assert abs(out.sum() - 1.0) <= 1e-9
-            assert np.all(out >= 0.0)
+        out = smoothed_target_actions(params, ACTOR_SPEC, rng.normal(size=(200, 3)),
+                                      0.3, 0.5, rng)
+        assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
+        assert np.all(out >= 0.0)
 
     def test_noise_is_clipped_before_projection(self):
         """A +0.9 draw with clip 0.5 acts as +0.5."""
-        policy = self._policy()
-        state = np.array([0.1, 0.1, 0.1])
-        base = policy.act(state)
-        got = smoothed_target_action(policy, state, 1.0, 0.5, _FixedNoise([0.9, 0.0]))
+        params = self._params()
+        states = np.array([[0.1, 0.1, 0.1]])
+        base = forward_batch(params, ACTOR_SPEC, states)[0]
+        got = smoothed_target_actions(params, ACTOR_SPEC, states, 1.0, 0.5,
+                                      _FixedNoise([[0.9, 0.0]]))
         raw = np.clip(base + np.array([0.5, 0.0]), 0.0, 1.0)
-        np.testing.assert_allclose(got, raw / raw.sum(), atol=1e-15)
+        np.testing.assert_allclose(got[0], raw / raw.sum(), atol=1e-15)
 
 
-def _transition(i):
-    return Transition(
-        state=np.full(3, float(i)),
-        action=np.array([0.5, 0.5]),
-        reward=float(-i),
-        next_state=np.full(3, float(i + 1)),
-        done=False,
-    )
+def _push(buf, i):
+    buf.push(np.full(3, float(i)), np.array([0.5, 0.5]), float(-i),
+             np.full(3, float(i + 1)), i % 3 == 0)
 
 
 class TestReplayBuffer:
     def test_eviction_keeps_most_recent(self):
         buf = ReplayBuffer(capacity=5)
         for i in range(8):
-            buf.push(_transition(i))
+            _push(buf, i)
         assert len(buf) == 5
-        kept = [tr.reward for tr in buf.snapshot()]
-        assert kept == [-3.0, -4.0, -5.0, -6.0, -7.0]
+        states, _, rewards, next_states, dones = buf.snapshot()
+        assert rewards.tolist() == [-3.0, -4.0, -5.0, -6.0, -7.0]
+        np.testing.assert_array_equal(states[:, 0], [3.0, 4.0, 5.0, 6.0, 7.0])
+        np.testing.assert_array_equal(next_states[:, 0], states[:, 0] + 1.0)
+        assert dones.tolist() == [True, False, False, True, False]
 
     def test_size_never_exceeds_capacity(self):
         buf = ReplayBuffer(capacity=3)
         for i in range(10):
-            buf.push(_transition(i))
+            _push(buf, i)
             assert len(buf) <= 3
 
     def test_sampling_deterministic(self):
         buf = ReplayBuffer(capacity=16)
         for i in range(16):
-            buf.push(_transition(i))
-        a = [t.reward for t in buf.sample(8, np.random.default_rng(5))]
-        b = [t.reward for t in buf.sample(8, np.random.default_rng(5))]
-        assert a == b
+            _push(buf, i)
+        a = buf.sample(8, np.random.default_rng(5))
+        b = buf.sample(8, np.random.default_rng(5))
+        assert a[2].tolist() == b[2].tolist()
+        # Each gathered row is one whole transition.
+        states, actions, rewards, next_states, dones = a
+        np.testing.assert_array_equal(states[:, 0], -rewards)
+        np.testing.assert_array_equal(next_states, states + 1.0)
+        np.testing.assert_array_equal(dones, (-rewards) % 3 == 0)
+        assert actions.shape == (8, 2)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ContractError):
             ReplayBuffer(4).sample(2, np.random.default_rng(0))
-
-
-CRITIC_SPEC = MlpSpec(5, (4,), 1, "linear")
 
 
 def _batch(rng, n=6):
@@ -185,8 +225,6 @@ class TestCriticUpdate:
         assert np.any(u1 != p1) and np.any(u2 != p2)
         assert np.any(u1 != u2)
 
-
-ACTOR_SPEC = MlpSpec(3, (4,), 2, "simplex")
 
 
 class TestActorUpdate:
@@ -303,3 +341,151 @@ class TestTrain:
                         warmup_steps=10, seed=3)
         policy = train(env, cfg)
         assert len(policy.episode_rewards) == 4
+
+
+# -- independent oracle: the step-by-step training loop -----------------------
+#
+# A transition-object replay list, np.stack minibatches, vjp_batch for
+# every gradient (each re-running its forward pass) and a scalar
+# target per row. The fused trainer must reproduce it bit for bit.
+
+
+@dataclass(frozen=True)
+class _Transition:
+    state: np.ndarray
+    action: np.ndarray
+    reward: float
+    next_state: np.ndarray
+    done: bool
+
+
+def _oracle_critic_update(critic_params, spec, states, actions, targets, lr):
+    x = np.concatenate([states, actions], axis=1)
+    n = x.shape[0]
+    y = targets.reshape(n, 1)
+    updated = []
+    for params in critic_params:
+        err = forward_batch(params, spec, x) - y
+        grad, _ = vjp_batch(params, spec, x, 2.0 * err / n)
+        updated.append(params - lr * grad)
+    return updated
+
+
+def _oracle_actor_update(actor_params, actor, critic1_params, critic, states, lr):
+    n = states.shape[0]
+    actions = forward_batch(actor_params, actor, states)
+    x = np.concatenate([states, actions], axis=1)
+    _, input_grad = vjp_batch(critic1_params, critic, x, np.full((n, 1), 1.0 / n))
+    actor_grad, _ = vjp_batch(actor_params, actor, states, input_grad[:, states.shape[1]:])
+    return actor_params + lr * actor_grad
+
+
+def _oracle_train(env, config):
+    a_spec, c_spec = actor_spec(), critic_spec()
+    actor = init_params(a_spec, config.seed)
+    critic1 = init_params(c_spec, config.seed + 1)
+    critic2 = init_params(c_spec, config.seed + 2)
+    actor_t, critic1_t, critic2_t = actor.copy(), critic1.copy(), critic2.copy()
+    rng = np.random.default_rng(config.seed + 3)
+    items, cursor = [], 0
+    episode_rewards, episode_total, n_updates = [], 0.0, 0
+
+    state = env.reset()
+    for step in range(1, config.total_timesteps + 1):
+        if step <= config.warmup_steps:
+            action = rng.dirichlet([1.0, 1.0])
+        else:
+            noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
+            action = clip_to_simplex(forward_actor(actor, a_spec, state) + noise)
+        result = env.step(action)
+        tr = _Transition(state, result.info["action"], result.reward.total,
+                         result.next_state, result.done)
+        if len(items) < config.buffer_capacity:
+            items.append(tr)
+        else:
+            items[cursor] = tr
+        cursor = (cursor + 1) % config.buffer_capacity
+        episode_total += result.reward.total
+        state = result.next_state
+        if result.done:
+            episode_rewards.append(episode_total)
+            episode_total = 0.0
+            state = env.reset()
+        if step <= config.warmup_steps or len(items) < config.batch_size:
+            continue
+
+        batch = [items[i] for i in rng.integers(0, len(items), size=config.batch_size)]
+        states = np.stack([tr.state for tr in batch])
+        actions = np.stack([tr.action for tr in batch])
+        next_states = np.stack([tr.next_state for tr in batch])
+        a_next = forward_batch(actor_t, a_spec, next_states)
+        noise = np.clip(rng.normal(0.0, config.target_noise_sigma, size=a_next.shape),
+                        -config.target_noise_clip, config.target_noise_clip)
+        a_next = np.stack([clip_to_simplex(row) for row in a_next + noise])
+        next_x = np.concatenate([next_states, a_next], axis=1)
+        q1 = forward_batch(critic1_t, c_spec, next_x)[:, 0]
+        q2 = forward_batch(critic2_t, c_spec, next_x)[:, 0]
+        targets = np.array([
+            tr.reward if tr.done else tr.reward + config.gamma * min(q1[i], q2[i])
+            for i, tr in enumerate(batch)
+        ])
+        critic1, critic2 = _oracle_critic_update(
+            [critic1, critic2], c_spec, states, actions, targets, config.learning_rate
+        )
+        n_updates += 1
+        if n_updates % config.actor_delay == 0:
+            actor = _oracle_actor_update(actor, a_spec, critic1, c_spec, states,
+                                         config.learning_rate)
+            actor_t = soft_update(actor_t, actor, config.tau)
+            critic1_t = soft_update(critic1_t, critic1, config.tau)
+            critic2_t = soft_update(critic2_t, critic2, config.tau)
+    return actor, (critic1, critic2, actor_t, critic1_t, critic2_t), episode_rewards
+
+
+class TestFusedTrainOracle:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # Capacity 300 over 1500 steps wraps the ring four times.
+            TD3Config(total_timesteps=1500, buffer_capacity=300, actor_delay=3,
+                      batch_size=32, seed=5),
+            # Updates start long before the ring is full.
+            TD3Config(total_timesteps=600, warmup_steps=100, seed=6),
+        ],
+        ids=["wrapping-ring", "filling-ring"],
+    )
+    def test_bit_identical_to_step_by_step_loop(self, config):
+        train_part, _ = chrono_split(load_series(FIXTURE_CSV), 0.8)
+        scaler = fit_scaler(train_part)
+        policy = train(BudgetEnv(train_part, scaler), config)
+        actor, aux, rewards = _oracle_train(BudgetEnv(train_part, scaler), config)
+
+        np.testing.assert_array_equal(policy.params, actor)
+        names = ("critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
+        for name, expected in zip(names, aux):
+            np.testing.assert_array_equal(policy.aux_params[name], expected, err_msg=name)
+        assert list(policy.episode_rewards) == rewards
+
+
+class TestNumericGuards:
+    def test_non_finite_critic_loss(self):
+        states, actions = _batch(np.random.default_rng(0))
+        with pytest.raises(NumericError):
+            critic_update([init_params(CRITIC_SPEC, 1)], CRITIC_SPEC, states, actions,
+                          np.full(6, np.inf), 0.1)
+
+    def test_non_finite_actor_gradient(self):
+        critic = np.full(CRITIC_SPEC.param_count(), np.nan)
+        states = np.random.default_rng(1).normal(size=(4, 3))
+        with pytest.raises(NumericError):
+            actor_update(init_params(ACTOR_SPEC, 2), ACTOR_SPEC, critic, CRITIC_SPEC,
+                         states, 0.1)
+
+    def test_update_input_shapes_checked(self):
+        states, actions = _batch(np.random.default_rng(2))
+        with pytest.raises(ShapeError):
+            critic_update([init_params(CRITIC_SPEC, 1)], CRITIC_SPEC, states[:, :2],
+                          actions, np.zeros(6), 0.1)
+        with pytest.raises(ShapeError):
+            actor_update(init_params(ACTOR_SPEC, 2), ACTOR_SPEC,
+                         init_params(CRITIC_SPEC, 1), CRITIC_SPEC, states[:, :2], 0.1)
