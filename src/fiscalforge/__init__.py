@@ -12,10 +12,8 @@ from .data_ingest import (  # noqa: F401
     FinancialSeries,
     QuarterRecord,
     ScalerParams,
-    apply_scaler,
     chrono_split,
     fit_scaler,
-    invert_scaler,
     load_series,
 )
 from .environment import (  # noqa: F401

@@ -7,6 +7,9 @@ seeds as seed+1/+2/+3 for environment, training, and refinement (the
 environment slot is reserved; the environment itself has no
 randomness).
 
+Each stage command also returns its result (trained policy, refined
+policy, metrics report), which the pipeline uses instead of re-reading.
+
 Exit codes: 0 success, 1 usage or config error, 2 data error,
 3 artifact error, 4 numeric failure.
 """
@@ -32,7 +35,7 @@ from .errors import (
     FiscalForgeError,
     NumericError,
 )
-from .evaluation import evaluate_policy
+from .evaluation import MetricsReport, evaluate_policy
 from .neural_core import (
     SIMPLEX,
     ActorPolicy,
@@ -41,7 +44,7 @@ from .neural_core import (
     save_checkpoint,
 )
 from .quantum_ga import GaConfig, evaluate_fitness, evolve
-from .td3_trainer import ACTION_DIM, STATE_DIM, TD3Config, train
+from .td3_trainer import ACTION_DIM, STATE_DIM, TD3Config, TrainedPolicy, train
 
 __all__ = ["RunConfig", "main", "entrypoint"]
 
@@ -82,6 +85,9 @@ def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
 def _build(cls, section_name: str, given: dict, **overrides):
     allowed = {f.name for f in fields(cls)} - set(overrides)
     _reject_unknown(section_name, given, allowed)
+    for name in [f.name for f in fields(cls) if f.type is int and f.name in given]:
+        if type(given[name]) is not int:
+            raise ConfigError(f"{section_name}.{name} must be an integer, got {given[name]!r}")
     try:
         return cls(**given, **overrides)
     except (TypeError, FiscalForgeError) as exc:
@@ -116,12 +122,19 @@ def load_run_config(
         output_dir = out_override
     if not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
 
     _reject_unknown("data", data, {"path", "train_fraction"})
     if "path" not in data:
         raise ConfigError("config is missing data.path")
+    if not isinstance(data["path"], str):
+        raise ConfigError(f"data.path must be a string, got {data['path']!r}")
     data_path = Path(data["path"])
-    train_fraction = float(data.get("train_fraction", 0.8))
+    try:
+        train_fraction = float(data.get("train_fraction", 0.8))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad 'data' section: {exc}") from exc
 
     _reject_unknown("environment", env_params,
                     {"lambda1", "lambda2", "confidence", "prior"})
@@ -158,14 +171,8 @@ def _prepare(cfg: RunConfig):
     """Load, split, and fit the scaler on the training segment only."""
     if not cfg.data_path.exists():
         raise DataError(f"data file not found: {cfg.data_path}")
-    series = load_series(cfg.data_path)
-    train_part, test_part = chrono_split(series, cfg.train_fraction)
-    scaler = fit_scaler(train_part)
-    return series, train_part, test_part, scaler
-
-
-def _train_env(cfg: RunConfig, train_part, scaler) -> BudgetEnv:
-    return BudgetEnv(train_part, scaler, cfg.reward, cfg.belief)
+    train_part, test_part = chrono_split(load_series(cfg.data_path), cfg.train_fraction)
+    return train_part, test_part, fit_scaler(train_part)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -193,9 +200,9 @@ def _load_actor(path: Path) -> ActorPolicy:
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_train(cfg: RunConfig) -> None:
-    _, train_part, _, scaler = _prepare(cfg)
-    env = _train_env(cfg, train_part, scaler)
+def cmd_train(cfg: RunConfig) -> TrainedPolicy:
+    train_part, _, scaler = _prepare(cfg)
+    env = BudgetEnv(train_part, scaler, cfg.reward, cfg.belief)
     log.info("training for %d timesteps (seed %d)", cfg.td3.total_timesteps, cfg.td3.seed)
     policy = train(env, cfg.td3)
 
@@ -215,11 +222,12 @@ def cmd_train(cfg: RunConfig) -> None:
     )
     tail = policy.episode_rewards[-10:]
     print(f"final-10-episode mean reward: {float(np.mean(tail)):.6f}")
+    return policy
 
 
-def cmd_refine(cfg: RunConfig) -> None:
-    _, train_part, _, scaler = _prepare(cfg)
-    env = _train_env(cfg, train_part, scaler)
+def cmd_refine(cfg: RunConfig) -> ActorPolicy:
+    train_part, _, scaler = _prepare(cfg)
+    env = BudgetEnv(train_part, scaler, cfg.reward, cfg.belief)
     base = _load_actor(cfg.output_dir / ACTOR_CKPT)
     log.info("refining for %d generations (seed %d)", cfg.ga.generations, cfg.ga.seed)
     refined, logs = evolve(base, env, cfg.ga)
@@ -246,10 +254,11 @@ def cmd_refine(cfg: RunConfig) -> None:
                 fh.write(f"{delta!r}\n")
     for g in logs:
         print(f"generation {g.generation} best fitness: {g.best:.6f}")
+    return refined
 
 
-def cmd_evaluate(cfg: RunConfig) -> None:
-    _, _, test_part, scaler = _prepare(cfg)
+def cmd_evaluate(cfg: RunConfig) -> MetricsReport:
+    _, test_part, scaler = _prepare(cfg)
     ckpt = cfg.output_dir / REFINED_CKPT
     if not ckpt.exists():
         ckpt = cfg.output_dir / ACTOR_CKPT
@@ -270,35 +279,33 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     print(f"rmse: {report.rmse:.6f}")
     print(f"cosine_similarity: {report.cosine_similarity:.6f}")
     print(f"kl_divergence: {report.kl_divergence:.6f}")
+    return report
 
 
 def cmd_pipeline(cfg: RunConfig) -> None:
-    cmd_train(cfg)
-    cmd_refine(cfg)
+    base = cmd_train(cfg)
+    refined = cmd_refine(cfg)
 
-    _, train_part, test_part, scaler = _prepare(cfg)
-    base = _load_actor(cfg.output_dir / ACTOR_CKPT)
-    refined = _load_actor(cfg.output_dir / REFINED_CKPT)
-    fit_env = _train_env(cfg, train_part, scaler)
+    train_part, test_part, scaler = _prepare(cfg)
+    fit_env = BudgetEnv(train_part, scaler, cfg.reward, cfg.belief)
     pre_fitness = evaluate_fitness(base.params, base.spec, fit_env)
     post_fitness = evaluate_fitness(refined.params, refined.spec, fit_env)
     pre_report, _ = evaluate_policy(base, test_part, scaler, cfg.reward, cfg.belief)
 
-    cmd_evaluate(cfg)
+    post_report = cmd_evaluate(cfg)
 
-    post_report = json.loads((cfg.output_dir / "metrics.json").read_text())
     _write_json(
         cfg.output_dir / "summary.json",
         {
             "pre_refinement": {"fitness": pre_fitness, "metrics": pre_report.to_dict()},
-            "post_refinement": {"fitness": post_fitness, "metrics": post_report},
+            "post_refinement": {"fitness": post_fitness, "metrics": post_report.to_dict()},
         },
     )
     print(
         f"refinement summary: fitness {pre_fitness:.6f} -> {post_fitness:.6f}, "
-        f"mae {pre_report.mae:.6f} -> {post_report['mae']:.6f}, "
+        f"mae {pre_report.mae:.6f} -> {post_report.mae:.6f}, "
         f"cosine {pre_report.cosine_similarity:.6f} -> "
-        f"{post_report['cosine_similarity']:.6f}"
+        f"{post_report.cosine_similarity:.6f}"
     )
 
 

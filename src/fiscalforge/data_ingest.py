@@ -5,15 +5,16 @@ row per quarter, periods written ``YYYY-Q[1-4]``, amounts in million
 USD. Rows with any empty field are dropped and counted; anything else
 malformed is an error.
 
-The scaler is fit on whatever series it is given. The pipeline fits it
-on the training split only and applies it to both splits, so test-split
+The scaler is fit on whatever series it is given and scales one value
+at a time (``ScalerParams.scale_value``). The pipeline fits it on the
+training split only and applies it to both splits, so test-split
 values may fall outside [0, 1]; they are deliberately not clipped.
 """
 
 import csv
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -25,8 +26,6 @@ __all__ = [
     "ScalerParams",
     "load_series",
     "fit_scaler",
-    "apply_scaler",
-    "invert_scaler",
     "chrono_split",
 ]
 
@@ -50,18 +49,13 @@ class QuarterRecord:
     sga: float
     net_income: float
 
-    def feature(self, name: str) -> float:
-        if name not in FEATURES:
-            raise KeyError(name)
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class FinancialSeries:
     """Chronologically ordered quarter records.
 
     ``dropped_rows`` counts rows discarded at load time because of
-    empty fields; derived series (splits, scaled copies) carry 0.
+    empty fields; derived series (the splits) carry 0.
     """
 
     records: tuple[QuarterRecord, ...]
@@ -142,26 +136,6 @@ class ScalerParams:
         lo, hi = self.bounds[feature]
         return (value - lo) / (hi - lo)
 
-    def invert_value(self, feature: str, value: float) -> float:
-        lo, hi = self.bounds[feature]
-        return lo + value * (hi - lo)
-
-    def scale_record(self, rec: QuarterRecord) -> QuarterRecord:
-        return replace(
-            rec,
-            rnd=self.scale_value("rnd", rec.rnd),
-            sga=self.scale_value("sga", rec.sga),
-            net_income=self.scale_value("net_income", rec.net_income),
-        )
-
-    def invert_record(self, rec: QuarterRecord) -> QuarterRecord:
-        return replace(
-            rec,
-            rnd=self.invert_value("rnd", rec.rnd),
-            sga=self.invert_value("sga", rec.sga),
-            net_income=self.invert_value("net_income", rec.net_income),
-        )
-
 
 def fit_scaler(series: FinancialSeries) -> ScalerParams:
     """Compute per-feature extrema over the given (fit) segment."""
@@ -169,22 +143,12 @@ def fit_scaler(series: FinancialSeries) -> ScalerParams:
         raise DataError("cannot fit a scaler on an empty series")
     bounds: dict[str, tuple[float, float]] = {}
     for feat in FEATURES:
-        values = [rec.feature(feat) for rec in series]
+        values = [getattr(rec, feat) for rec in series]
         lo, hi = min(values), max(values)
         if hi <= lo:
             raise DataError(f"feature {feat!r} is constant ({lo}); cannot min-max scale")
         bounds[feat] = (lo, hi)
     return ScalerParams(bounds)
-
-
-def apply_scaler(params: ScalerParams, series: FinancialSeries) -> FinancialSeries:
-    """Min-max scale every feature; out-of-fit values are not clipped."""
-    return FinancialSeries(tuple(params.scale_record(rec) for rec in series))
-
-
-def invert_scaler(params: ScalerParams, series: FinancialSeries) -> FinancialSeries:
-    """Inverse of apply_scaler, up to float rounding."""
-    return FinancialSeries(tuple(params.invert_record(rec) for rec in series))
 
 
 def chrono_split(

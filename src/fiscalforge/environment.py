@@ -153,8 +153,6 @@ class BudgetEnv:
     ):
         if len(series) < 2:
             raise DataError(f"need at least 2 quarters, got {len(series)}")
-        self.series = series
-        self.scaler = scaler
         self.reward_config = reward if reward is not None else RewardConfig()
         self.belief_config = belief if belief is not None else BeliefConfig()
         if len(self.belief_config.prior) != 2:
@@ -199,10 +197,6 @@ class BudgetEnv:
     def n_steps(self) -> int:
         """Steps per episode: one per quarter transition."""
         return self._n_steps
-
-    @property
-    def t(self) -> int | None:
-        return self._t
 
     @property
     def done(self) -> bool:

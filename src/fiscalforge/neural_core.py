@@ -17,7 +17,8 @@ writes the flat parameter gradient into one preallocated array, and
 ``vjp_batch`` is just the two composed. Callers that need both the
 output and its gradient (the TD3 updates) run the forward pass once and
 hand its cache to ``_backward``. The flat layout's slices are computed
-once per ``MlpSpec``.
+once per ``MlpSpec``. A single input is a batch of one; the only
+per-row entry point is ``forward_actor``, the greedy action of a state.
 """
 
 import json
@@ -34,9 +35,9 @@ __all__ = [
     "MlpSpec",
     "ActorPolicy",
     "init_params",
+    "forward_batch",
     "forward_actor",
-    "forward_critic",
-    "backward",
+    "vjp_batch",
     "flatten",
     "unflatten",
     "save_checkpoint",
@@ -195,19 +196,6 @@ def forward_actor(params: np.ndarray, spec: MlpSpec, state: np.ndarray) -> np.nd
     return y
 
 
-def forward_critic(
-    params: np.ndarray, spec: MlpSpec, state: np.ndarray, action: np.ndarray
-) -> float:
-    """Linear-head scalar value of a (state, action) pair."""
-    if spec.output_head != LINEAR or spec.output_dim != 1:
-        raise ContractError("forward_critic requires a scalar linear head")
-    x = np.concatenate([np.asarray(state, float), np.asarray(action, float)])[None, :]
-    q = float(forward_batch(params, spec, x)[0, 0])
-    if not np.isfinite(q):
-        raise NumericError("critic produced a non-finite value")
-    return q
-
-
 def vjp_batch(
     params: np.ndarray, spec: MlpSpec, x: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -225,15 +213,6 @@ def vjp_batch(
         )
     _, cache = _forward_cached(params, spec, x)
     return _backward(spec, cache, upstream)
-
-
-def backward(
-    params: np.ndarray, spec: MlpSpec, x: np.ndarray, upstream: np.ndarray
-) -> np.ndarray:
-    """Exact parameter gradient of the forward map for a single input."""
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    upstream = np.asarray(upstream, dtype=np.float64)[None, :]
-    return vjp_batch(params, spec, x, upstream)[0]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ seeded around the trained policy with Gaussian noise (the unperturbed
 policy itself is individual 0), scored by cumulative greedy reward,
 thinned to an elite fraction, and refilled by uniform crossover of
 random elite pairs plus a quantum-inspired mutation: each selected gene
-is nudged by the |1> amplitude of a ground-state qubit rotated through
-a Gaussian angle, scaled by the mutation strength. The perturbations
-are therefore zero-centered, symmetric, and bounded by the strength.
+is read as a qubit in its ground state, rotated through a Gaussian
+angle dtheta, and nudged by the resulting |1> amplitude, sin(dtheta),
+scaled by the mutation strength. The perturbations are therefore
+zero-centered, symmetric, and bounded by the strength.
+
+A greedy rollout is deterministic, so fitness is one episode's reward.
 
 The best individual ever seen is carried forward unmodified each
 generation, so the best fitness can never regress below the input
@@ -20,19 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import BudgetEnv
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, ShapeError
 from .neural_core import ActorPolicy, MlpSpec, forward_actor
 
 __all__ = [
     "Individual",
     "GaConfig",
-    "QubitState",
     "GenerationLog",
     "init_population",
     "evaluate_fitness",
     "select_elites",
     "uniform_crossover",
-    "rotate_qubit",
     "quantum_mutate",
     "evolve",
 ]
@@ -53,7 +54,6 @@ class GaConfig:
     init_sigma: float = 0.02
     mutation_strength: float = 0.05
     rotation_sigma: float = 0.3
-    episodes_per_eval: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -65,34 +65,6 @@ class GaConfig:
             raise ContractError("mutation_rate must lie in [0, 1]")
         if min(self.init_sigma, self.mutation_strength, self.rotation_sigma) < 0:
             raise ContractError("noise scales must be non-negative")
-        if self.episodes_per_eval < 1:
-            raise ContractError("episodes_per_eval must be positive")
-
-    def n_elites(self) -> int:
-        return math.ceil(self.elite_fraction * self.population_size)
-
-
-@dataclass(frozen=True)
-class QubitState:
-    """Real-amplitude two-level state; amp0**2 + amp1**2 should be 1."""
-
-    amp0: float
-    amp1: float
-
-    def norm(self) -> float:
-        return math.hypot(self.amp0, self.amp1)
-
-    @classmethod
-    def ground(cls) -> "QubitState":
-        return cls(1.0, 0.0)
-
-
-def rotate_qubit(state: QubitState, delta_theta: float) -> QubitState:
-    """Apply the planar rotation gate to the amplitude pair."""
-    if abs(state.norm() - 1.0) > 1e-9:
-        raise DomainError(f"qubit state is not normalized: |psi| = {state.norm()}")
-    c, s = math.cos(delta_theta), math.sin(delta_theta)
-    return QubitState(c * state.amp0 - s * state.amp1, s * state.amp0 + c * state.amp1)
 
 
 @dataclass(frozen=True)
@@ -120,20 +92,16 @@ def init_population(
     return population
 
 
-def evaluate_fitness(
-    genome: np.ndarray, spec: MlpSpec, env: BudgetEnv, episodes_per_eval: int = 1
-) -> float:
+def evaluate_fitness(genome: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> float:
     """Cumulative reward of a greedy (noise-free) rollout from reset."""
     total = 0.0
-    for _ in range(episodes_per_eval):
-        state = env.reset()
-        while True:
-            result = env.step(forward_actor(genome, spec, state))
-            total += result.reward.total
-            state = result.next_state
-            if result.done:
-                break
-    return total / episodes_per_eval
+    state = env.reset()
+    while True:
+        result = env.step(forward_actor(genome, spec, state))
+        total += result.reward.total
+        state = result.next_state
+        if result.done:
+            return total
 
 
 def select_elites(population: list[Individual], elite_fraction: float) -> list[Individual]:
@@ -163,10 +131,12 @@ def quantum_mutate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude-read mutation of randomly selected genes.
 
-    Each selected gene's offset is strength * sin(dtheta), the |1>
-    amplitude of the ground state rotated by dtheta ~ N(0, sigma^2);
-    equivalent to rotate_qubit(QubitState.ground(), dtheta).amp1.
-    Returns the mutated genome and the recorded offsets.
+    Each selected gene is read as a qubit in its ground state |0>. The
+    planar rotation gate [[cos, -sin], [sin, cos]] through an angle
+    dtheta ~ N(0, sigma^2) takes it to cos(dtheta)|0> + sin(dtheta)|1>,
+    and the gene moves by strength times that |1> amplitude:
+    strength * sin(dtheta). Returns the mutated genome and the recorded
+    offsets.
     """
     genome = np.asarray(genome, dtype=np.float64).copy()
     mask = rng.random(genome.shape) < config.mutation_rate
@@ -195,9 +165,7 @@ def evolve(
     for generation in range(config.generations):
         for ind in population:
             if ind.fitness is None:
-                ind.fitness = evaluate_fitness(
-                    ind.genome, base_policy.spec, env, config.episodes_per_eval
-                )
+                ind.fitness = evaluate_fitness(ind.genome, base_policy.spec, env)
         fitnesses = [ind.fitness for ind in population]
         gen_best_idx = int(np.argmax(fitnesses))
         if fitnesses[gen_best_idx] > best_fitness:

@@ -85,7 +85,6 @@ class ReplayBuffer:
         self._dones = np.empty(capacity, dtype=bool)
         self._size = 0
         self._cursor = 0
-        self.inserted = 0
 
     def push(self, state: np.ndarray, action: np.ndarray, reward: float,
              next_state: np.ndarray, done: bool) -> None:
@@ -98,7 +97,6 @@ class ReplayBuffer:
         self._cursor = (i + 1) % self.capacity
         if self._size < self.capacity:
             self._size += 1
-        self.inserted += 1
 
     def __len__(self) -> int:
         return self._size
@@ -150,10 +148,8 @@ class TD3Config:
 
 @dataclass(frozen=True)
 class TrainedPolicy(ActorPolicy):
-    """Actor policy plus its training provenance and per-episode rewards."""
+    """Actor policy plus its per-episode rewards and the other trained networks."""
 
-    seed: int
-    config: TD3Config
     episode_rewards: tuple[float, ...]
     aux_params: dict[str, np.ndarray] = field(default_factory=dict)
     critic_spec: MlpSpec | None = None
@@ -329,8 +325,6 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
     return TrainedPolicy(
         spec=a_spec,
         params=actor,
-        seed=config.seed,
-        config=config,
         episode_rewards=tuple(episode_rewards),
         aux_params={
             "critic1": critic1,

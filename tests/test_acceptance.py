@@ -26,7 +26,7 @@ from fiscalforge.evaluation import (
     mae,
     rmse,
 )
-from fiscalforge.neural_core import MlpSpec, backward, forward_batch
+from fiscalforge.neural_core import MlpSpec, forward_batch, vjp_batch
 from fiscalforge.quantum_ga import GaConfig, evaluate_fitness, evolve, quantum_mutate
 from fiscalforge.special_functions import digamma, dirichlet_kl, ln_gamma
 from fiscalforge.td3_trainer import TD3Config, train
@@ -80,7 +80,7 @@ def test_criterion_2_gradient_correctness():
             params = rng.normal(0.0, 0.8, size=spec.param_count())
             x = rng.normal(size=spec.input_dim)
             upstream = rng.normal(size=spec.output_dim)
-            analytic = backward(params, spec, x, upstream)
+            analytic = vjp_batch(params, spec, x[None, :], upstream[None, :])[0]
             h = 1e-5
             numeric = np.zeros_like(params)
             for j in range(params.size):

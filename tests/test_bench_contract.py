@@ -1,0 +1,91 @@
+"""The benchmark harness in perfbench/ against the package it measures.
+
+perfbench wraps package functions by name, indexes their positional
+arguments, and times the CLI's stage commands by replacing them in the
+cli module. A refactor that renames one of those, or stops calling the
+stages through the module namespace, breaks the benchmark without
+failing any other test; these tests catch it.
+"""
+
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import FIXTURE_CSV, REPO_ROOT
+
+PERFBENCH = REPO_ROOT / "perfbench"
+STAGES = ("train", "refine", "evaluate")
+
+TINY_CONFIG = {
+    "data": {"path": str(FIXTURE_CSV), "train_fraction": 0.8},
+    "td3": {"total_timesteps": 150, "warmup_steps": 100, "batch_size": 16},
+    "ga": {"generations": 2, "population_size": 3},
+    "seed": 7,
+}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tiny_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY_CONFIG))
+    return path
+
+
+def _traced_names():
+    tracer = _load("tracer")
+    return [f"{layer}.{qualname}" for table in (tracer.SPANNED, tracer.PROBED)
+            for layer, names in table.items() for qualname in names]
+
+
+@pytest.mark.parametrize("name", _traced_names())
+def test_traced_name_resolves(name):
+    layer, *path = name.split(".")
+    owner = importlib.import_module(f"fiscalforge.{layer}")
+    for part in path:
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_child_pipeline_times_every_stage(tmp_path, monkeypatch):
+    from fiscalforge import cli
+
+    for name in STAGES:  # the child replaces these; monkeypatch restores them
+        monkeypatch.setattr(cli, f"cmd_{name}", getattr(cli, f"cmd_{name}"))
+    result = _load("child").pipeline(str(_tiny_config(tmp_path)), str(tmp_path / "out"),
+                                     None, None)
+    assert result["rc"] == 0
+    for name in STAGES:
+        assert result[f"{name}_s"] > 0.0
+
+
+def test_traced_child_run_counts(tmp_path):
+    """A traced run in a fresh process: the hooks' argument indexing still holds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    spans = tmp_path / "spans.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "pipeline", str(_tiny_config(tmp_path)),
+         str(tmp_path / "out"), str(spans), "contract"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    counts = result["counts"]
+    assert counts["neural_core.checkpoint.loads"] == 2
+    assert counts["neural_core.forward_batch.calls"] > 0
+    assert counts["quantum_ga.evaluate_fitness.calls"] > 0
+    assert counts["data_ingest.rows_parsed"] > 0
+    assert spans.read_text().count("\n") == counts["trace.spans"]

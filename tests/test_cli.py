@@ -74,6 +74,31 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
+    def test_removed_episodes_per_eval_rejected(self, tmp_path):
+        """The GA scores one deterministic episode, so an episode count is an unknown key."""
+        with pytest.raises(ConfigError, match="episodes_per_eval"):
+            load_run_config(_write_config(tmp_path, {"ga": {"episodes_per_eval": 1}}))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"data": {"train_fraction": "abc"}},
+            {"data": {"train_fraction": [0.8]}},
+            {"data": {"path": 5}},
+            {"output_dir": 5},
+            {"td3": {"batch_size": 8.0}},
+            {"td3": {"total_timesteps": True}},
+            {"ga": {"generations": 2.5}},
+            {"ga": {"population_size": 4.0}},
+        ],
+        ids=["fraction-text", "fraction-list", "path-number", "out-number",
+             "td3-float-count", "td3-bool-count", "ga-float-count", "ga-float-size"],
+    )
+    def test_malformed_value_exits_1(self, tmp_path, capsys, overrides):
+        config = _write_config(tmp_path, overrides)
+        assert main(["train", "--config", str(config)]) == 1
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_smoke_writes_artifacts(self, tmp_path):
@@ -240,6 +265,17 @@ class TestPipelineCommand:
             >= summary["pre_refinement"]["fitness"]
         )
         assert "refinement summary" in capsys.readouterr().out
+
+    def test_stages_hand_results_forward(self, tmp_path, monkeypatch):
+        """Only refine and evaluate read a checkpoint; the pipeline reuses the results."""
+        import fiscalforge.cli as cli
+
+        loads = []
+        load = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or load(path))
+        config = _write_config(tmp_path)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert [p.name for p in loads] == ["actor.ckpt", "refined_actor.ckpt"]
 
     def test_byte_identical_across_runs(self, tmp_path):
         config = _write_config(tmp_path)

@@ -4,16 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiscalforge.errors import ArtifactError, ContractError, NumericError, ShapeError
 from fiscalforge.neural_core import (
     ActorPolicy,
     MlpSpec,
-    backward,
     export_json,
     flatten,
     forward_actor,
-    forward_critic,
+    forward_batch,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -66,8 +67,8 @@ class TestForward:
 
     def test_zero_params_give_zero_value(self):
         spec = MlpSpec(5, (8,), 1, "linear")
-        q = forward_critic(np.zeros(spec.param_count()), spec, np.zeros(3), np.zeros(2))
-        assert q == 0.0
+        q = forward_batch(np.zeros(spec.param_count()), spec, np.zeros((1, 5)))
+        assert q[0, 0] == 0.0
 
     def test_simplex_output_sums_to_one(self):
         rng = np.random.default_rng(17)
@@ -92,7 +93,7 @@ class TestForward:
         spec = MlpSpec(2, (1,), 1, "linear")
         params = np.array([0.3, -0.7, 0.25, 1.2, -0.4])
         expected = 1.2 * math.tanh(0.3 * 0.8 - 0.7 * 0.6 + 0.25) - 0.4
-        got = forward_critic(params, spec, np.array([0.8]), np.array([0.6]))
+        got = forward_batch(params, spec, np.array([[0.8, 0.6]]))[0, 0]
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_linear_head_scales_with_last_layer(self):
@@ -102,15 +103,12 @@ class TestForward:
         layers = unflatten(params, spec)
         doubled = [(w.copy(), b.copy()) for w, b in layers]
         doubled[-1] = (2.0 * doubled[-1][0], 2.0 * doubled[-1][1])
-        s, a = rng.normal(size=2), rng.normal(size=2)
-        assert forward_critic(flatten(doubled), spec, s, a) == pytest.approx(
-            2.0 * forward_critic(params, spec, s, a), rel=1e-12
+        x = rng.normal(size=(1, 4))
+        assert forward_batch(flatten(doubled), spec, x)[0, 0] == pytest.approx(
+            2.0 * forward_batch(params, spec, x)[0, 0], rel=1e-12
         )
 
     def test_head_contract_enforced(self):
-        spec = MlpSpec(3, (4,), 2, "simplex")
-        with pytest.raises(ContractError):
-            forward_critic(np.zeros(spec.param_count()), spec, np.zeros(1), np.zeros(2))
         lin = MlpSpec(3, (4,), 2, "linear")
         with pytest.raises(ContractError):
             forward_actor(np.zeros(lin.param_count()), lin, np.zeros(3))
@@ -123,10 +121,13 @@ class TestForward:
             forward_actor(params, spec, np.ones(3))
 
 
+def _grad(params, spec, x, upstream):
+    """Parameter gradient of upstream . forward(params) at one input row."""
+    return vjp_batch(params, spec, x[None, :], upstream[None, :])[0]
+
+
 def _fd_gradient(params, spec, x, upstream, h=1e-5):
     """Central finite differences of upstream . forward(params)."""
-    from fiscalforge.neural_core import forward_batch
-
     grad = np.zeros_like(params)
     for j in range(params.size):
         plus, minus = params.copy(), params.copy()
@@ -151,7 +152,7 @@ class TestBackward:
             params = rng.normal(0, 0.8, size=spec.param_count())
             x = rng.normal(size=spec.input_dim)
             upstream = rng.normal(size=spec.output_dim)
-            analytic = backward(params, spec, x, upstream)
+            analytic = _grad(params, spec, x, upstream)
             numeric = _fd_gradient(params, spec, x, upstream)
             err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
             assert err <= 1e-4
@@ -159,7 +160,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_gradient(self):
         spec = MlpSpec(3, (4,), 2, "simplex")
         params = np.random.default_rng(0).normal(size=spec.param_count())
-        grad = backward(params, spec, np.ones(3), np.zeros(2))
+        grad = _grad(params, spec, np.ones(3), np.zeros(2))
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_simplex_head_gradient_orthogonal_to_ones(self):
@@ -167,7 +168,7 @@ class TestBackward:
         spec = MlpSpec(3, (4,), 2, "simplex")
         rng = np.random.default_rng(1)
         params = rng.normal(size=spec.param_count())
-        grad = backward(params, spec, rng.normal(size=3), rng.normal(size=2))
+        grad = _grad(params, spec, rng.normal(size=3), rng.normal(size=2))
         bias_grad = unflatten(grad, spec)[-1][1]
         assert abs(bias_grad.sum()) <= 1e-12
 
@@ -260,3 +261,39 @@ class TestActorPolicy:
         np.testing.assert_array_equal(
             ActorPolicy(spec, params).act(state), forward_actor(params, spec, state)
         )
+
+
+_specs = st.builds(
+    MlpSpec,
+    input_dim=st.integers(1, 6),
+    hidden_dims=st.lists(st.integers(1, 8), min_size=1, max_size=3).map(tuple),
+    output_dim=st.integers(1, 4),
+    output_head=st.sampled_from(["simplex", "linear"]),
+)
+
+
+def _any_bits(spec, seed):
+    """A parameter vector of arbitrary float64 bit patterns (NaNs, -0.0, subnormals)."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2**64, size=spec.param_count(), dtype=np.uint64).view(np.float64)
+
+
+class TestRoundTripProperties:
+    """Layout and persistence keep every bit of every parameter."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_specs, seed=st.integers(0, 2**32 - 1))
+    def test_unflatten_flatten_bit_exact(self, spec, seed):
+        params = _any_bits(spec, seed)
+        assert flatten(unflatten(params, spec)).tobytes() == params.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_specs, seed=st.integers(0, 2**32 - 1))
+    def test_checkpoint_bit_exact(self, spec, seed, tmp_path_factory):
+        params = _any_bits(spec, seed)
+        path = tmp_path_factory.mktemp("ckpt") / "net.ckpt"
+        save_checkpoint(path, spec, params)
+        loaded_spec, loaded = load_checkpoint(path)
+        assert loaded_spec == spec
+        assert loaded.dtype == np.float64
+        assert loaded.tobytes() == params.tobytes()

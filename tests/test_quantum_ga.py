@@ -9,17 +9,15 @@ from scipy.stats import skew
 
 from fiscalforge.data_ingest import fit_scaler
 from fiscalforge.environment import BudgetEnv
-from fiscalforge.errors import ContractError, DomainError, ShapeError
+from fiscalforge.errors import ContractError, ShapeError
 from fiscalforge.neural_core import ActorPolicy, MlpSpec, init_params
 from fiscalforge.quantum_ga import (
     GaConfig,
     Individual,
-    QubitState,
     evaluate_fitness,
     evolve,
     init_population,
     quantum_mutate,
-    rotate_qubit,
     select_elites,
     uniform_crossover,
 )
@@ -177,38 +175,6 @@ class TestUniformCrossover:
             uniform_crossover(np.zeros(3), np.zeros(4), np.random.default_rng(0))
 
 
-class TestRotateQubit:
-    def test_quarter_rotation(self):
-        out = rotate_qubit(QubitState(1.0, 0.0), math.pi / 2.0)
-        assert out.amp0 == pytest.approx(0.0, abs=1e-15)
-        assert out.amp1 == pytest.approx(1.0, abs=1e-15)
-
-    def test_identity_rotation(self):
-        state = QubitState(0.6, 0.8)
-        out = rotate_qubit(state, 0.0)
-        assert (out.amp0, out.amp1) == (0.6, 0.8)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            theta = rng.uniform(0, 2 * math.pi)
-            state = QubitState(math.cos(theta), math.sin(theta))
-            out = rotate_qubit(state, rng.uniform(-10, 10))
-            assert abs(out.norm() - 1.0) <= 1e-12
-
-    def test_rotation_chains_stay_normalized(self):
-        """1000 random chained rotations drift below 1e-9."""
-        rng = np.random.default_rng(4)
-        state = QubitState.ground()
-        for _ in range(1000):
-            state = rotate_qubit(state, rng.normal(0, 1.0))
-            assert abs(state.norm() - 1.0) <= 1e-9
-
-    def test_unnormalized_state_rejected(self):
-        with pytest.raises(DomainError):
-            rotate_qubit(QubitState(1.0, 1.0), 0.1)
-
-
 class TestQuantumMutate:
     def test_zero_rate_is_identity(self):
         rng = np.random.default_rng(5)
@@ -251,8 +217,11 @@ class TestQuantumMutate:
         replay = np.random.default_rng(9)
         replay.random(4)  # the selection draw
         dtheta = replay.normal(0.0, cfg.rotation_sigma, size=4)
+        ground = np.array([1.0, 0.0])
         expected = np.array(
-            [cfg.mutation_strength * rotate_qubit(QubitState.ground(), dt).amp1
+            [cfg.mutation_strength
+             * (np.array([[math.cos(dt), -math.sin(dt)],
+                          [math.sin(dt), math.cos(dt)]]) @ ground)[1]
              for dt in dtheta]
         )
         np.testing.assert_allclose(deltas, expected, atol=1e-15)
