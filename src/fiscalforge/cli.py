@@ -135,6 +135,8 @@ def load_run_config(
         train_fraction = float(data.get("train_fraction", 0.8))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'data' section: {exc}") from exc
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"data.train_fraction must lie in (0, 1), got {train_fraction}")
 
     _reject_unknown("environment", env_params,
                     {"lambda1", "lambda2", "confidence", "prior"})
@@ -221,7 +223,8 @@ def cmd_train(cfg: RunConfig) -> TrainedPolicy:
         ),
     )
     tail = policy.episode_rewards[-10:]
-    print(f"final-10-episode mean reward: {float(np.mean(tail)):.6f}")
+    mean = f"{float(np.mean(tail)):.6f}" if tail else "n/a (no episode completed)"
+    print(f"final-10-episode mean reward: {mean}")
     return policy
 
 

@@ -17,10 +17,12 @@ independent instances over the same series may run in parallel.
 Nothing but the two action-dependent terms depends on the policy, so
 the constructor builds per-step tables once: the scaled states, the
 empirical shares, the belief vectors (by the same sequential
-update_belief loop), the belief penalties and the profit signals. A
-series with a non-positive rnd + sga in any quarter after the first
-raises DataError there. step() then validates the action, computes the
-accuracy and smoothness terms and reads the rest from the tables.
+update_belief loop) and the belief penalties. A series with a
+non-positive rnd + sga in any quarter after the first raises DataError
+there. step() then validates the action, computes the accuracy and
+smoothness terms and reads the rest from the tables. rollout(act) is
+the one greedy-episode loop, read by GA fitness, evaluation and
+trace.jsonl: it steps with act(state) from reset to the episode's end.
 
 State vectors are float64 arrays laid out [rnd, sga, net_income] in
 scaled units; actions and empirical allocations are length-2 simplex
@@ -30,7 +32,7 @@ arrays [rnd_share, sga_share].
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "BeliefConfig",
     "RewardBreakdown",
     "StepResult",
+    "Episode",
     "BudgetEnv",
     "empirical_allocation",
     "update_belief",
@@ -91,7 +94,17 @@ class StepResult:
     next_state: np.ndarray
     reward: RewardBreakdown
     done: bool
-    info: dict[str, Any]
+    action: np.ndarray
+
+
+@dataclass(frozen=True)
+class Episode:
+    """Actions, rewards and the env's (read-only) tables of one episode."""
+
+    actions: np.ndarray
+    rewards: tuple[RewardBreakdown, ...]
+    empirical: np.ndarray
+    alphas: np.ndarray
 
 
 def empirical_allocation(series: FinancialSeries, t: int) -> np.ndarray:
@@ -149,7 +162,6 @@ class BudgetEnv:
         scaler: ScalerParams,
         reward: RewardConfig | None = None,
         belief: BeliefConfig | None = None,
-        trace: bool = False,
     ):
         if len(series) < 2:
             raise DataError(f"need at least 2 quarters, got {len(series)}")
@@ -171,47 +183,34 @@ class BudgetEnv:
             ]
         )
         self._prior = np.array(self.belief_config.prior)
-        self._n_steps = len(series) - 1
-        empirical, alphas, belief_terms, profit_signals = [], [], [], []
+        empirical, alphas, belief_terms = [], [], []
         alpha = self._prior
-        for t in range(self._n_steps):
+        for t in range(len(series) - 1):
             shares = empirical_allocation(series, t)
             alpha = update_belief(alpha, shares, self.belief_config.confidence)
             empirical.append(shares)
             alphas.append(alpha)
             belief_terms.append(-self.reward_config.lambda2 * dirichlet_kl(alpha, self._prior))
-            nxt = series[t + 1]
-            expenses = nxt.rnd + nxt.sga
-            profit_signals.append((nxt.net_income - expenses) / expenses)
         self._empirical = np.array(empirical)
         self._alphas = np.array(alphas)
         self._belief_terms = belief_terms
-        self._profit_signals = profit_signals
-        self._trace_enabled = trace
-        self.trace_records: list[dict[str, Any]] = []
         self._t: int | None = None
-        self._alpha = self._prior.copy()
         self._prev_action = UNIFORM_ACTION.copy()
-
-    @property
-    def n_steps(self) -> int:
-        """Steps per episode: one per quarter transition."""
-        return self._n_steps
 
     @property
     def done(self) -> bool:
-        return self._t is not None and self._t >= self._n_steps
+        return self._t is not None and self._t >= len(self._empirical)
 
     @property
     def alpha(self) -> np.ndarray:
-        return self._alpha.copy()
+        """Belief after the last step taken; the prior before the first."""
+        if not self._t:
+            return self._prior.copy()
+        return self._alphas[self._t - 1].copy()
 
     def reset(self) -> np.ndarray:
         self._t = 0
-        self._alpha = self._prior.copy()
         self._prev_action = UNIFORM_ACTION.copy()
-        if self._trace_enabled:
-            self.trace_records = []
         return self._states[0].copy()
 
     def step(self, action: np.ndarray) -> StepResult:
@@ -227,42 +226,39 @@ class BudgetEnv:
         smoothness = -self.reward_config.lambda1 * float(
             np.linalg.norm(a - self._prev_action)
         )
-        self._alpha = self._alphas[t]
         belief = self._belief_terms[t]
-        total = accuracy + smoothness + belief
-        reward = RewardBreakdown(accuracy, smoothness, belief, total)
+        reward = RewardBreakdown(accuracy, smoothness, belief, accuracy + smoothness + belief)
 
         self._prev_action = a
         self._t = t + 1
-        next_state = self._states[self._t].copy()
+        return StepResult(self._states[self._t].copy(), reward, self.done, a)
 
-        info = {
-            "t": t,
-            "action": a.copy(),
-            "empirical": empirical.copy(),
-            "alpha": self._alpha.copy(),
-            "profit_signal": self._profit_signals[t],
-        }
-        if self._trace_enabled:
-            self.trace_records.append(
-                {
-                    "t": t,
-                    "action": a.tolist(),
-                    "empirical": empirical.tolist(),
-                    "reward_terms": {
-                        "accuracy": accuracy,
-                        "smoothness": smoothness,
-                        "belief": belief,
-                        "total": total,
-                    },
-                    "alpha": self._alpha.tolist(),
-                }
-            )
-        return StepResult(next_state, reward, self.done, info)
+    def rollout(self, act: Callable[[np.ndarray], np.ndarray]) -> Episode:
+        """Reset, then step with act(state) until the episode ends."""
+        state = self.reset()
+        actions, rewards = [], []
+        while not self.done:
+            result = self.step(act(state))
+            actions.append(result.action)
+            rewards.append(result.reward)
+            state = result.next_state
+        return Episode(np.array(actions), tuple(rewards), self._empirical, self._alphas)
 
 
-def write_trace(records: list[dict[str, Any]], path: str | Path) -> None:
-    """Dump per-step trace records as JSON lines (overlay-plot input)."""
+def write_trace(episode: Episode, path: str | Path) -> None:
+    """Dump one JSON line per step of the episode (overlay-plot input)."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for t, r in enumerate(episode.rewards):
+            record = {
+                "t": t,
+                "action": episode.actions[t].tolist(),
+                "empirical": episode.empirical[t].tolist(),
+                "reward_terms": {
+                    "accuracy": r.accuracy_term,
+                    "smoothness": r.smoothness_term,
+                    "belief": r.belief_term,
+                    "total": r.total,
+                },
+                "alpha": episode.alphas[t].tolist(),
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")

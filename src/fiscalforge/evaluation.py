@@ -5,7 +5,8 @@ pairs: mean absolute error and root mean squared error over the
 flattened componentwise residuals, mean cosine similarity per pair, and
 mean KL divergence per pair with the actual allocation as the reference
 distribution (predicted components floored at 1e-12, zero actual mass
-contributes zero).
+contributes zero). The pairs come from one BudgetEnv.rollout of the
+policy over the test series, which also feeds trace.jsonl.
 """
 
 import math
@@ -110,17 +111,10 @@ def evaluate_policy(
 
     ``policy`` is anything with an ``act(state) -> allocation`` method.
     """
-    env = BudgetEnv(test_series, scaler, reward, belief, trace=trace_path is not None)
-    pairs: list[AllocationPair] = []
-    state = env.reset()
-    while True:
-        result = env.step(policy.act(state))
-        pairs.append(AllocationPair(result.info["action"], result.info["empirical"]))
-        state = result.next_state
-        if result.done:
-            break
+    episode = BudgetEnv(test_series, scaler, reward, belief).rollout(policy.act)
+    pairs = [AllocationPair(a, e) for a, e in zip(episode.actions, episode.empirical)]
     if trace_path is not None:
-        write_trace(env.trace_records, trace_path)
+        write_trace(episode, trace_path)
     report = MetricsReport(
         mae=mae(pairs),
         rmse=rmse(pairs),

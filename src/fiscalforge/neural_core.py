@@ -274,7 +274,7 @@ def load_checkpoint(path: str | Path) -> tuple[MlpSpec, np.ndarray]:
         spec = MlpSpec(input_dim, hidden, output_dim, _HEAD_NAMES[head])
     except ArtifactError:
         raise
-    except (struct.error, ValueError, KeyError, ContractError) as exc:
+    except (struct.error, ValueError, OverflowError, KeyError, ContractError) as exc:
         raise ArtifactError(f"{path}: corrupt checkpoint ({exc})") from exc
     if params.size != spec.param_count() or offset + 8 * count != len(blob):
         raise ArtifactError(f"{path}: checkpoint payload does not match its header")

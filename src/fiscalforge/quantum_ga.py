@@ -10,7 +10,9 @@ angle dtheta, and nudged by the resulting |1> amplitude, sin(dtheta),
 scaled by the mutation strength. The perturbations are therefore
 zero-centered, symmetric, and bounded by the strength.
 
-A greedy rollout is deterministic, so fitness is one episode's reward.
+Fitness is the cumulative reward of one greedy episode,
+BudgetEnv.rollout with the genome's noise-free actor; the episode is
+deterministic, so one suffices.
 
 The best individual ever seen is carried forward unmodified each
 generation, so the best fitness can never regress below the input
@@ -95,13 +97,9 @@ def init_population(
 def evaluate_fitness(genome: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> float:
     """Cumulative reward of a greedy (noise-free) rollout from reset."""
     total = 0.0
-    state = env.reset()
-    while True:
-        result = env.step(forward_actor(genome, spec, state))
-        total += result.reward.total
-        state = result.next_state
-        if result.done:
-            return total
+    for reward in env.rollout(lambda state: forward_actor(genome, spec, state)).rewards:
+        total += reward.total
+    return total
 
 
 def select_elites(population: list[Individual], elite_fraction: float) -> list[Individual]:

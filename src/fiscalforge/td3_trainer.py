@@ -101,20 +101,13 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def _fields(self, idx):
-        return (self._states[idx], self._actions[idx], self._rewards[idx],
-                self._next_states[idx], self._dones[idx])
-
-    def snapshot(self) -> tuple[np.ndarray, ...]:
-        """(states, actions, rewards, next_states, dones), oldest first."""
-        start = self._cursor if self._size == self.capacity else 0
-        return self._fields((start + np.arange(self._size)) % self.capacity)
-
     def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
         """(states, actions, rewards, next_states, dones) of uniform draws."""
         if self._size == 0:
             raise ContractError("cannot sample from an empty buffer")
-        return self._fields(rng.integers(0, self._size, size=batch_size))
+        idx = rng.integers(0, self._size, size=batch_size)
+        return (self._states[idx], self._actions[idx], self._rewards[idx],
+                self._next_states[idx], self._dones[idx])
 
 
 @dataclass(frozen=True)
@@ -291,7 +284,7 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
             noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
             action = clip_to_simplex(forward_actor(actor, a_spec, state) + noise)
         result = env.step(action)
-        buffer.push(state, result.info["action"], result.reward.total,
+        buffer.push(state, result.action, result.reward.total,
                     result.next_state, result.done)
         episode_total += result.reward.total
         state = result.next_state

@@ -1,12 +1,14 @@
 """Command-line contract: exit codes, artifacts, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from fiscalforge.cli import load_run_config, main
 from fiscalforge.errors import ConfigError
+from fiscalforge.td3_trainer import actor_spec
 
 from conftest import FIXTURE_CSV
 
@@ -84,6 +86,9 @@ class TestRunConfig:
         [
             {"data": {"train_fraction": "abc"}},
             {"data": {"train_fraction": [0.8]}},
+            {"data": {"train_fraction": "nan"}},
+            {"data": {"train_fraction": 1.5}},
+            {"data": {"train_fraction": 0}},
             {"data": {"path": 5}},
             {"output_dir": 5},
             {"td3": {"batch_size": 8.0}},
@@ -91,7 +96,8 @@ class TestRunConfig:
             {"ga": {"generations": 2.5}},
             {"ga": {"population_size": 4.0}},
         ],
-        ids=["fraction-text", "fraction-list", "path-number", "out-number",
+        ids=["fraction-text", "fraction-list", "fraction-nan", "fraction-above-1",
+             "fraction-zero", "path-number", "out-number",
              "td3-float-count", "td3-bool-count", "ga-float-count", "ga-float-size"],
     )
     def test_malformed_value_exits_1(self, tmp_path, capsys, overrides):
@@ -106,6 +112,14 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 0
         produced = {p.name for p in (tmp_path / "out").iterdir()}
         assert TRAIN_FILES <= produced
+
+    def test_no_completed_episode_reports_na(self, tmp_path, capsys):
+        """A budget shorter than one episode has no mean reward to print."""
+        config = _write_config(tmp_path, {"td3": {"total_timesteps": 10, "warmup_steps": 5}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", str(config)]) == 0
+        assert "final-10-episode mean reward: n/a (no episode completed)" in capsys.readouterr().out
 
     def test_byte_identical_checkpoints_across_runs(self, tmp_path):
         config = _write_config(tmp_path)
@@ -174,6 +188,16 @@ class TestRefineCommand:
         config = _write_config(tmp_path)
         main(["train", "--config", str(config)])
         (tmp_path / "out" / "actor.ckpt").write_bytes(b"garbage bytes")
+        assert main(["refine", "--config", str(config)]) == 3
+
+    def test_overflowing_checkpoint_count_exits_3(self, tmp_path):
+        """The parameter count's top bit flipped: a corrupt header, not a traceback."""
+        config = _write_config(tmp_path)
+        main(["train", "--config", str(config)])
+        ckpt = tmp_path / "out" / "actor.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        blob[len(blob) - 8 * actor_spec().param_count() - 1] ^= 0x80
+        ckpt.write_bytes(bytes(blob))
         assert main(["refine", "--config", str(config)]) == 3
 
     def test_corrupt_refine_leaves_training_artifacts_intact(self, tmp_path):

@@ -29,8 +29,8 @@ def _scaler():
     return fit_scaler(make_series([(1, 2, -5), (10, 20, 0), (40, 30, 10), (60, 50, 20)]))
 
 
-def _env(rows, reward=None, belief=None, trace=False):
-    return BudgetEnv(make_series(rows), _scaler(), reward, belief, trace=trace)
+def _env(rows, reward=None, belief=None):
+    return BudgetEnv(make_series(rows), _scaler(), reward, belief)
 
 
 BASIC_ROWS = [(10, 10, 1), (30, 10, 2), (10, 30, 3), (20, 20, 4)]
@@ -162,9 +162,7 @@ class TestStep:
         env.reset()
         result = env.step(np.array([0.5, 0.5]))
         assert result.reward.belief_term < 0.0
-        np.testing.assert_allclose(
-            env.alpha, np.array([5.0, 3.0]) + result.info["empirical"]
-        )
+        np.testing.assert_allclose(env.alpha, [5.0 + 0.75, 3.0 + 0.25])
 
     def test_step_after_done(self):
         env = _env(BASIC_ROWS[:2])
@@ -184,12 +182,11 @@ class TestStep:
         with pytest.raises(ContractError):
             env.step(np.array([0.8, 0.3]))
 
-    def test_info_carries_profit_signal(self):
-        rows = [(10, 10, 1), (30, 10, 60), (10, 30, 3)]
-        env = _env(rows)
+    def test_result_carries_validated_action(self):
+        env = _env(BASIC_ROWS)
         env.reset()
-        info = env.step(np.array([0.5, 0.5])).info
-        assert info["profit_signal"] == pytest.approx((60 - 40) / 40)
+        drifted = np.array([0.6 + 4e-7, 0.4])
+        np.testing.assert_array_equal(env.step(drifted).action, validate_action(drifted))
 
 
 class TestInvariants:
@@ -257,7 +254,6 @@ class TestTrace:
             scaler,
             RewardConfig(expected["lambda1"], expected["lambda2"]),
             BeliefConfig(tuple(expected["prior"]), expected["confidence"]),
-            trace=True,
         )
         env.reset()
         for action, exp in zip(expected["actions"], expected["trace"]):
@@ -269,12 +265,9 @@ class TestTrace:
             np.testing.assert_allclose(env.alpha, exp["alpha"], atol=1e-9)
 
     def test_trace_records_written_as_jsonl(self, tmp_path):
-        env = _env(BASIC_ROWS, trace=True)
-        env.reset()
-        while not env.done:
-            env.step(np.array([0.6, 0.4]))
+        episode = _env(BASIC_ROWS).rollout(lambda state: np.array([0.6, 0.4]))
         path = tmp_path / "trace.jsonl"
-        write_trace(env.trace_records, path)
+        write_trace(episode, path)
         lines = path.read_text().splitlines()
         assert len(lines) == len(BASIC_ROWS) - 1
         record = json.loads(lines[0])
@@ -316,8 +309,6 @@ class TestStepTables:
             accuracy = -float(np.abs(a - empirical).sum())
             smoothness = -reward.lambda1 * float(np.linalg.norm(a - prev))
             belief = -reward.lambda2 * dirichlet_kl(alpha, prior)
-            nxt = series[t + 1]
-            expenses = nxt.rnd + nxt.sga
             prev = a
 
             r = result.reward
@@ -325,9 +316,5 @@ class TestStepTables:
                 accuracy, smoothness, belief, accuracy + smoothness + belief
             )
             np.testing.assert_array_equal(env.alpha, alpha)
-            np.testing.assert_array_equal(result.info["alpha"], alpha)
-            np.testing.assert_array_equal(result.info["action"], a)
-            np.testing.assert_array_equal(result.info["empirical"], empirical)
-            assert result.info["t"] == t
-            assert result.info["profit_signal"] == (nxt.net_income - expenses) / expenses
+            np.testing.assert_array_equal(result.action, a)
             assert result.done == (t == len(series) - 2)

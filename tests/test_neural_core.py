@@ -241,6 +241,17 @@ class TestCheckpoint:
         with pytest.raises(ArtifactError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
+    def test_count_top_bit_flip_rejected(self, tmp_path):
+        """A parameter count past 2**63 is a corrupt header, not an OverflowError."""
+        spec = MlpSpec(3, (8,), 2, "simplex")
+        path = tmp_path / "flip.ckpt"
+        save_checkpoint(path, spec, init_params(spec, 4))
+        blob = bytearray(path.read_bytes())
+        blob[_header_size(spec) - 1] ^= 0x80  # the little-endian count's top byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactError):
+            load_checkpoint(path)
+
     def test_json_export(self, tmp_path):
         import json
 
@@ -278,6 +289,10 @@ def _any_bits(spec, seed):
     return rng.integers(0, 2**64, size=spec.param_count(), dtype=np.uint64).view(np.float64)
 
 
+def _header_size(spec):
+    return 4 + 4 + 1 + 4 + 4 + 4 * len(spec.hidden_dims) + 4 + 8
+
+
 class TestRoundTripProperties:
     """Layout and persistence keep every bit of every parameter."""
 
@@ -297,3 +312,25 @@ class TestRoundTripProperties:
         assert loaded_spec == spec
         assert loaded.dtype == np.float64
         assert loaded.tobytes() == params.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_specs, seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_corrupt_checkpoint_raises_only_artifact_error(
+        self, spec, seed, data, tmp_path_factory
+    ):
+        """Truncated or byte-flipped, the file loads or raises ArtifactError."""
+        path = tmp_path_factory.mktemp("ckpt") / "net.ckpt"
+        save_checkpoint(path, spec, _any_bits(spec, seed))
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            # Half of the flipped bytes lie in the header, where they change the layout.
+            limit = data.draw(st.sampled_from([_header_size(spec), len(blob)]))
+            pos = data.draw(st.integers(0, limit - 1), label="byte")
+            blob[pos] ^= data.draw(st.integers(1, 255), label="bits")
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except ArtifactError:
+            pass

@@ -145,11 +145,12 @@ class TestReplayBuffer:
         for i in range(8):
             _push(buf, i)
         assert len(buf) == 5
-        states, _, rewards, next_states, dones = buf.snapshot()
-        assert rewards.tolist() == [-3.0, -4.0, -5.0, -6.0, -7.0]
-        np.testing.assert_array_equal(states[:, 0], [3.0, 4.0, 5.0, 6.0, 7.0])
+        # 500 seeded draws over 5 rows: each slot is drawn, none outside.
+        states, _, rewards, next_states, dones = buf.sample(500, np.random.default_rng(0))
+        assert sorted(set(states[:, 0].tolist())) == [3.0, 4.0, 5.0, 6.0, 7.0]
+        np.testing.assert_array_equal(rewards, -states[:, 0])
         np.testing.assert_array_equal(next_states[:, 0], states[:, 0] + 1.0)
-        assert dones.tolist() == [True, False, False, True, False]
+        np.testing.assert_array_equal(dones, states[:, 0] % 3 == 0)
 
     def test_size_never_exceeds_capacity(self):
         buf = ReplayBuffer(capacity=3)
@@ -336,7 +337,7 @@ class TestTrain:
 
     def test_history_counts_completed_episodes(self):
         env = _small_env()
-        steps_per_episode = env.n_steps
+        steps_per_episode = 7  # _small_env has 8 quarters
         cfg = TD3Config(total_timesteps=steps_per_episode * 4 + 2,
                         warmup_steps=10, seed=3)
         policy = train(env, cfg)
@@ -398,7 +399,7 @@ def _oracle_train(env, config):
             noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
             action = clip_to_simplex(forward_actor(actor, a_spec, state) + noise)
         result = env.step(action)
-        tr = _Transition(state, result.info["action"], result.reward.total,
+        tr = _Transition(state, result.action, result.reward.total,
                          result.next_state, result.done)
         if len(items) < config.buffer_capacity:
             items.append(tr)
