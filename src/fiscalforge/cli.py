@@ -7,6 +7,10 @@ seeds as seed+1/+2/+3 for environment, training, and refinement (the
 environment slot is reserved; the environment itself has no
 randomness).
 
+Each config value is checked by one rule per declared field type. A
+RunConfig builds its inputs once, on first use: one CSV parse and one
+env per split, so a stage run alone builds only the env it reads.
+
 Each stage command also returns its result (trained policy, refined
 policy, metrics report), which the pipeline uses instead of re-reading.
 
@@ -20,12 +24,13 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data_ingest import chrono_split, fit_scaler, load_series
+from .data_ingest import FinancialSeries, chrono_split, fit_scaler, load_series
 from .environment import BeliefConfig, BudgetEnv, RewardConfig
 from .errors import (
     ArtifactError,
@@ -68,30 +73,83 @@ class RunConfig:
     output_dir: Path
     seed: int
 
+    @cached_property
+    def _splits(self):
+        """The CSV parsed and split, and the scaler fit on the training split only."""
+        train_part, test_part = chrono_split(load_series(self.data_path), self.train_fraction)
+        return train_part, test_part, fit_scaler(train_part)
 
-def _section(doc: dict, name: str) -> dict:
-    value = doc.pop(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return dict(value)
+    @cached_property
+    def train_env(self) -> BudgetEnv:
+        return self._env(self._splits[0])
+
+    @cached_property
+    def test_env(self) -> BudgetEnv:
+        return self._env(self._splits[1])
+
+    def _env(self, part: FinancialSeries) -> BudgetEnv:
+        # Only the belief settings can put the env's tables out of domain.
+        try:
+            return BudgetEnv(part, self._splits[2], self.reward, self.belief)
+        except DomainError as exc:
+            raise ConfigError(f"bad 'environment' section: {exc}") from exc
 
 
-def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = set(given) - allowed
+def _finite(value) -> bool:
+    """A finite JSON number (NaN fails the comparison; true is not a number)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# One rule per declared field type; a value that passes is converted by calling the type.
+_RULES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", _finite),
+    tuple[float, ...]: ("an array of finite numbers",
+                        lambda v: type(v) is list and all(map(_finite, v))),
+    Path: ("a string", lambda v: type(v) is str),
+}
+
+
+def _types(cls, *skip: str) -> dict:
+    return {f.name: f.type for f in fields(cls) if f.name not in skip}
+
+
+# Config-file key -> declared field type. Stage seeds derive from the master seed.
+_SCHEMA = {
+    "data": {"path": Path, "train_fraction": float},
+    "environment": _types(RewardConfig) | _types(BeliefConfig),
+    "td3": _types(TD3Config, "seed"),
+    "ga": _types(GaConfig, "seed"),
+    "output_dir": Path,
+    "seed": int,
+}
+
+
+def _read(given: dict, schema: dict, where: str = "") -> dict:
+    """Check a config object's keys and values against the schema; return typed values."""
+    unknown = set(given) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+        section = where.rstrip(".") or "top-level"
+        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
+    typed = {}
+    for key, value in given.items():
+        kind, name = schema[key], where + key
+        if isinstance(kind, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {name!r} must be an object")
+            typed[key] = _read(value, kind, name + ".")
+        elif _RULES[kind][1](value):
+            typed[key] = kind(value)
+        else:
+            raise ConfigError(f"{name} must be {_RULES[kind][0]}, got {value!r}")
+    return typed
 
 
-def _build(cls, section_name: str, given: dict, **overrides):
-    allowed = {f.name for f in fields(cls)} - set(overrides)
-    _reject_unknown(section_name, given, allowed)
-    for name in [f.name for f in fields(cls) if f.type is int and f.name in given]:
-        if type(given[name]) is not int:
-            raise ConfigError(f"{section_name}.{name} must be an integer, got {given[name]!r}")
+def _build(cls, section: str, given: dict, **fixed):
     try:
-        return cls(**given, **overrides)
-    except (TypeError, FiscalForgeError) as exc:
-        raise ConfigError(f"bad {section_name!r} section: {exc}") from exc
+        return cls(**{k: v for k, v in given.items() if k in _types(cls)}, **fixed)
+    except FiscalForgeError as exc:
+        raise ConfigError(f"bad {section!r} section: {exc}") from exc
 
 
 def load_run_config(
@@ -107,74 +165,28 @@ def load_run_config(
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
 
-    doc = dict(doc)
-    data = _section(doc, "data")
-    env_params = _section(doc, "environment")
-    td3_params = _section(doc, "td3")
-    ga_params = _section(doc, "ga")
-    output_dir = doc.pop("output_dir", "runs/default")
-    seed = doc.pop("seed", 0)
-    if doc:
-        raise ConfigError(f"unknown top-level config keys: {sorted(doc)}")
-    if seed_override is not None:
-        seed = seed_override
-    if out_override is not None:
-        output_dir = out_override
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
-
-    _reject_unknown("data", data, {"path", "train_fraction"})
+    overrides = {"output_dir": out_override, "seed": seed_override}
+    doc = _read(doc | {k: v for k, v in overrides.items() if v is not None}, _SCHEMA)
+    data, env = doc.get("data", {}), doc.get("environment", {})
     if "path" not in data:
         raise ConfigError("config is missing data.path")
-    if not isinstance(data["path"], str):
-        raise ConfigError(f"data.path must be a string, got {data['path']!r}")
-    data_path = Path(data["path"])
-    try:
-        train_fraction = float(data.get("train_fraction", 0.8))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'data' section: {exc}") from exc
+    train_fraction = data.get("train_fraction", 0.8)
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"data.train_fraction must lie in (0, 1), got {train_fraction}")
-
-    _reject_unknown("environment", env_params,
-                    {"lambda1", "lambda2", "confidence", "prior"})
-    try:
-        reward = RewardConfig(
-            lambda1=float(env_params.get("lambda1", 0.1)),
-            lambda2=float(env_params.get("lambda2", 0.01)),
-        )
-        belief = BeliefConfig(
-            prior=tuple(env_params.get("prior", (5.0, 3.0))),
-            confidence=float(env_params.get("confidence", 1.0)),
-        )
-    except (TypeError, ValueError, DomainError) as exc:
-        raise ConfigError(f"bad 'environment' section: {exc}") from exc
-
-    td3 = _build(TD3Config, "td3", td3_params, seed=seed + 2)
-    ga = _build(GaConfig, "ga", ga_params, seed=seed + 3)
+    seed = doc.get("seed", 0)
     return RunConfig(
-        data_path=data_path,
+        data_path=data["path"],
         train_fraction=train_fraction,
-        reward=reward,
-        belief=belief,
-        td3=td3,
-        ga=ga,
-        output_dir=Path(output_dir),
+        reward=_build(RewardConfig, "environment", env),
+        belief=_build(BeliefConfig, "environment", env),
+        td3=_build(TD3Config, "td3", doc.get("td3", {}), seed=seed + 2),
+        ga=_build(GaConfig, "ga", doc.get("ga", {}), seed=seed + 3),
+        output_dir=doc.get("output_dir", Path("runs/default")),
         seed=seed,
     )
 
 
 # -- shared stage helpers -----------------------------------------------------
-
-
-def _prepare(cfg: RunConfig):
-    """Load, split, and fit the scaler on the training segment only."""
-    if not cfg.data_path.exists():
-        raise DataError(f"data file not found: {cfg.data_path}")
-    train_part, test_part = chrono_split(load_series(cfg.data_path), cfg.train_fraction)
-    return train_part, test_part, fit_scaler(train_part)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -203,10 +215,8 @@ def _load_actor(path: Path) -> ActorPolicy:
 
 
 def cmd_train(cfg: RunConfig) -> TrainedPolicy:
-    train_part, _, scaler = _prepare(cfg)
-    env = BudgetEnv(train_part, scaler, cfg.reward, cfg.belief)
     log.info("training for %d timesteps (seed %d)", cfg.td3.total_timesteps, cfg.td3.seed)
-    policy = train(env, cfg.td3)
+    policy = train(cfg.train_env, cfg.td3)
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -229,8 +239,7 @@ def cmd_train(cfg: RunConfig) -> TrainedPolicy:
 
 
 def cmd_refine(cfg: RunConfig) -> ActorPolicy:
-    train_part, _, scaler = _prepare(cfg)
-    env = BudgetEnv(train_part, scaler, cfg.reward, cfg.belief)
+    env = cfg.train_env
     base = _load_actor(cfg.output_dir / ACTOR_CKPT)
     log.info("refining for %d generations (seed %d)", cfg.ga.generations, cfg.ga.seed)
     refined, logs = evolve(base, env, cfg.ga)
@@ -261,17 +270,14 @@ def cmd_refine(cfg: RunConfig) -> ActorPolicy:
 
 
 def cmd_evaluate(cfg: RunConfig) -> MetricsReport:
-    _, test_part, scaler = _prepare(cfg)
+    env = cfg.test_env
     ckpt = cfg.output_dir / REFINED_CKPT
     if not ckpt.exists():
         ckpt = cfg.output_dir / ACTOR_CKPT
     policy = _load_actor(ckpt)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    report, pairs = evaluate_policy(
-        policy, test_part, scaler, cfg.reward, cfg.belief,
-        trace_path=out / "trace.jsonl",
-    )
+    report, pairs = evaluate_policy(policy, env, trace_path=out / "trace.jsonl")
     _write_json(out / "metrics.json", report.to_dict())
     with (out / "pairs.csv").open("w", encoding="utf-8") as fh:
         fh.write("t,pred_rnd,pred_sga,actual_rnd,actual_sga\n")
@@ -289,11 +295,9 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     base = cmd_train(cfg)
     refined = cmd_refine(cfg)
 
-    train_part, test_part, scaler = _prepare(cfg)
-    fit_env = BudgetEnv(train_part, scaler, cfg.reward, cfg.belief)
-    pre_fitness = evaluate_fitness(base.params, base.spec, fit_env)
-    post_fitness = evaluate_fitness(refined.params, refined.spec, fit_env)
-    pre_report, _ = evaluate_policy(base, test_part, scaler, cfg.reward, cfg.belief)
+    pre_fitness = evaluate_fitness(base.params, base.spec, cfg.train_env)
+    post_fitness = evaluate_fitness(refined.params, refined.spec, cfg.train_env)
+    pre_report, _ = evaluate_policy(base, cfg.test_env)
 
     post_report = cmd_evaluate(cfg)
 

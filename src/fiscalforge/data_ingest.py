@@ -114,8 +114,8 @@ def load_series(path: str | Path, min_rows: int = 4) -> FinancialSeries:
             raise DataError(f"{path}:{lineno}: non-finite value")
         if rnd < 0 or sga < 0:
             raise DataError(f"{path}:{lineno}: negative expense")
-        if rnd + sga <= 0:
-            raise DataError(f"{path}:{lineno}: rnd + sga must be positive")
+        if not 0 < rnd + sga < math.inf:
+            raise DataError(f"{path}:{lineno}: rnd + sga must be positive and finite")
         records.append(QuarterRecord(period, rnd, sga, net))
 
     if len(records) < min_rows:

@@ -19,10 +19,12 @@ the constructor builds per-step tables once: the scaled states, the
 empirical shares, the belief vectors (by the same sequential
 update_belief loop) and the belief penalties. A series with a
 non-positive rnd + sga in any quarter after the first raises DataError
-there. step() then validates the action, computes the accuracy and
-smoothness terms and reads the rest from the tables. rollout(act) is
-the one greedy-episode loop, read by GA fitness, evaluation and
-trace.jsonl: it steps with act(state) from reset to the episode's end.
+there; a belief vector or penalty that is not finite (a prior or
+confidence near the float maximum) raises DomainError. step() then
+validates the action, computes the accuracy and smoothness terms and
+reads the rest from the tables. rollout(act) is the one greedy-episode
+loop, read by GA fitness, evaluation and trace.jsonl: it steps with
+act(state) from reset to the episode's end.
 
 State vectors are float64 arrays laid out [rnd, sga, net_income] in
 scaled units; actions and empirical allocations are length-2 simplex
@@ -30,6 +32,7 @@ arrays [rnd_share, sga_share].
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -75,8 +78,13 @@ class BeliefConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "prior", tuple(float(p) for p in self.prior))
-        if len(self.prior) < 2 or any(p <= 0 for p in self.prior):
-            raise DomainError("prior concentrations must be positive, length >= 2")
+        if len(self.prior) != 2:
+            raise DomainError(
+                "this environment models exactly two budget categories; "
+                f"prior has {len(self.prior)}"
+            )
+        if any(p <= 0 for p in self.prior):
+            raise DomainError("prior concentrations must be positive")
         if self.confidence < 0:
             raise DomainError("confidence must be non-negative")
 
@@ -167,11 +175,6 @@ class BudgetEnv:
             raise DataError(f"need at least 2 quarters, got {len(series)}")
         self.reward_config = reward if reward is not None else RewardConfig()
         self.belief_config = belief if belief is not None else BeliefConfig()
-        if len(self.belief_config.prior) != 2:
-            raise DomainError(
-                "this environment models exactly two budget categories; "
-                f"prior has {len(self.belief_config.prior)}"
-            )
         self._states = np.array(
             [
                 [
@@ -188,9 +191,15 @@ class BudgetEnv:
         for t in range(len(series) - 1):
             shares = empirical_allocation(series, t)
             alpha = update_belief(alpha, shares, self.belief_config.confidence)
+            try:
+                term = -self.reward_config.lambda2 * dirichlet_kl(alpha, self._prior)
+            except OverflowError as exc:  # fsum of concentrations near the float maximum
+                raise DomainError(f"belief at step {t} overflows: {exc}") from exc
+            if not math.isfinite(term):
+                raise DomainError(f"belief penalty at step {t} is not finite: {term}")
             empirical.append(shares)
             alphas.append(alpha)
-            belief_terms.append(-self.reward_config.lambda2 * dirichlet_kl(alpha, self._prior))
+            belief_terms.append(term)
         self._empirical = np.array(empirical)
         self._alphas = np.array(alphas)
         self._belief_terms = belief_terms

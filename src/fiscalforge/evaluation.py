@@ -5,8 +5,9 @@ pairs: mean absolute error and root mean squared error over the
 flattened componentwise residuals, mean cosine similarity per pair, and
 mean KL divergence per pair with the actual allocation as the reference
 distribution (predicted components floored at 1e-12, zero actual mass
-contributes zero). The pairs come from one BudgetEnv.rollout of the
-policy over the test series, which also feeds trace.jsonl.
+contributes zero). The pairs come from one rollout of the policy over
+an env the caller builds (the CLI's test-split env, shared by the
+pre- and post-refinement reports), which also feeds trace.jsonl.
 """
 
 import math
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_ingest import FinancialSeries, ScalerParams
-from .environment import BeliefConfig, BudgetEnv, RewardConfig, write_trace
+from .environment import BudgetEnv, write_trace
 from .errors import DataError, DomainError
 
 __all__ = [
@@ -100,18 +100,13 @@ def kl_divergence(pairs: list[AllocationPair]) -> float:
 
 
 def evaluate_policy(
-    policy,
-    test_series: FinancialSeries,
-    scaler: ScalerParams,
-    reward: RewardConfig | None = None,
-    belief: BeliefConfig | None = None,
-    trace_path=None,
+    policy, env: BudgetEnv, trace_path=None
 ) -> tuple[MetricsReport, list[AllocationPair]]:
-    """Greedy rollout over the test series; collects one pair per step.
+    """Greedy rollout over the env's series; collects one pair per step.
 
     ``policy`` is anything with an ``act(state) -> allocation`` method.
     """
-    episode = BudgetEnv(test_series, scaler, reward, belief).rollout(policy.act)
+    episode = env.rollout(policy.act)
     pairs = [AllocationPair(a, e) for a, e in zip(episode.actions, episode.empirical)]
     if trace_path is not None:
         write_trace(episode, trace_path)

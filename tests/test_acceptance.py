@@ -161,8 +161,8 @@ def test_criterion_4_td3_learning_progress():
     last5 = float(np.mean(policy.episode_rewards[-5:]))
     assert last5 > first5, f"no learning progress: {first5} -> {last5}"
 
-    trained_report, _ = evaluate_policy(policy, test_part, scaler)
-    uniform_report, _ = evaluate_policy(_UniformPolicy(), test_part, scaler)
+    trained_report, _ = evaluate_policy(policy, BudgetEnv(test_part, scaler))
+    uniform_report, _ = evaluate_policy(_UniformPolicy(), BudgetEnv(test_part, scaler))
     assert trained_report.mae < uniform_report.mae, (
         f"trained MAE {trained_report.mae} vs uniform {uniform_report.mae}"
     )
@@ -255,7 +255,7 @@ def test_criterion_7_metric_fixtures():
             Oracle.calls += 1
             return allocation
 
-    report, _ = evaluate_policy(Oracle(), series, scaler)
+    report, _ = evaluate_policy(Oracle(), BudgetEnv(series, scaler))
     assert report.mae <= 1e-12
     assert abs(report.cosine_similarity - 1.0) <= 1e-12
     assert report.kl_divergence <= 1e-12
@@ -311,7 +311,7 @@ def test_criterion_9_soft_directional_check(tmp_path):
     env = BudgetEnv(train_part, scaler)
     policy = train(env, TD3Config(seed=seed + 2))
     refined, _ = evolve(policy, env, GaConfig(seed=seed + 3))
-    report, _ = evaluate_policy(refined, test_part, scaler)
+    report, _ = evaluate_policy(refined, BudgetEnv(test_part, scaler))
 
     outcome = {
         "seed": seed,

@@ -88,4 +88,7 @@ def test_traced_child_run_counts(tmp_path):
     assert counts["neural_core.forward_batch.calls"] > 0
     assert counts["quantum_ga.evaluate_fitness.calls"] > 0
     assert counts["data_ingest.rows_parsed"] > 0
+    # One CSV parse and one env per split, however many stages read them.
+    assert counts["data_ingest.load_series.calls"] == 1
+    assert counts["environment.build.calls"] == 2
     assert spans.read_text().count("\n") == counts["trace.spans"]

@@ -1,10 +1,16 @@
 """Command-line contract: exit codes, artifacts, determinism."""
 
+import copy
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiscalforge.cli import load_run_config, main
 from fiscalforge.errors import ConfigError
@@ -26,6 +32,18 @@ TRAIN_FILES = {
     "actor_target.ckpt", "critic1_target.ckpt", "critic2_target.ckpt",
     "history.jsonl",
 }
+
+
+def _mutated_csv(directory, cells):
+    """The fixture CSV with (data row, column, text) cells replaced."""
+    lines = FIXTURE_CSV.read_text().splitlines()
+    for row, col, text in cells:
+        parts = lines[row + 1].split(",")
+        parts[col] = text
+        lines[row + 1] = ",".join(parts)
+    path = Path(directory) / "quarters.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def _write_config(tmp_path, overrides=None, out_name="out"):
@@ -95,14 +113,27 @@ class TestRunConfig:
             {"td3": {"total_timesteps": True}},
             {"ga": {"generations": 2.5}},
             {"ga": {"population_size": 4.0}},
+            {"environment": {"lambda1": "nan", "lambda2": "inf"}},
+            {"td3": {"learning_rate": math.inf, "tau": math.nan},
+             "ga": {"init_sigma": math.inf}},
+            {"environment": {"prior": ["nan", 3], "confidence": "nan"}},
+            {"environment": {"prior": [1e308, 1e308]}},
+            {"environment": {"confidence": 1e308}},
+            {"environment": {"prior": [5, 3, 2]}},
+            {"environment": {"lambda1": "0.1"}, "data": {"train_fraction": "0.8"}},
+            {"environment": {"prior": ["5", 3]}},
+            {"seed": True},
         ],
         ids=["fraction-text", "fraction-list", "fraction-nan", "fraction-above-1",
              "fraction-zero", "path-number", "out-number",
-             "td3-float-count", "td3-bool-count", "ga-float-count", "ga-float-size"],
+             "td3-float-count", "td3-bool-count", "ga-float-count", "ga-float-size",
+             "lambda-text", "rate-non-finite", "belief-nan-text", "prior-overflow",
+             "confidence-overflow", "prior-three", "number-text", "prior-text",
+             "seed-bool"],
     )
     def test_malformed_value_exits_1(self, tmp_path, capsys, overrides):
         config = _write_config(tmp_path, overrides)
-        assert main(["train", "--config", str(config)]) == 1
+        assert main(["pipeline", "--config", str(config)]) == 1
         assert "usage error" in capsys.readouterr().err
 
 
@@ -301,6 +332,35 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", str(config)]) == 0
         assert [p.name for p in loads] == ["actor.ckpt", "refined_actor.ckpt"]
 
+    def test_inputs_built_once_per_split(self, tmp_path, monkeypatch):
+        """One CSV parse and one env per split; a stage alone builds only its own env."""
+        import fiscalforge.cli as cli
+
+        built = []
+        load, env = cli.load_series, cli.BudgetEnv
+        monkeypatch.setattr(cli, "load_series", lambda path: built.append("parse") or load(path))
+        monkeypatch.setattr(cli, "BudgetEnv",
+                            lambda part, *rest: built.append(len(part)) or env(part, *rest))
+        config = _write_config(tmp_path)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert built == ["parse", 19, 5]  # floor(0.8 * 24) training quarters
+        built.clear()
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert built == ["parse", 5]
+
+    @pytest.mark.parametrize("command", ["refine", "evaluate"])
+    def test_data_error_before_checkpoint_error(self, tmp_path, command):
+        config = _write_config(tmp_path, {"data": {"path": str(tmp_path / "gone.csv")}})
+        assert main([command, "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("row", [22, 1], ids=["test-split", "train-split"])
+    def test_overflowing_expense_row_exits_2(self, tmp_path, capsys, row):
+        """rnd + sga = 2e308 is not a share denominator, wherever the row lands."""
+        csv_path = _mutated_csv(tmp_path, [(row, 1, "1e308"), (row, 2, "1e308")])
+        config = _write_config(tmp_path, {"data": {"path": str(csv_path)}})
+        assert main(["pipeline", "--config", str(config)]) == 2
+        assert "rnd + sga" in capsys.readouterr().err
+
     def test_byte_identical_across_runs(self, tmp_path):
         config = _write_config(tmp_path)
         assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "r1")]) == 0
@@ -310,3 +370,72 @@ class TestPipelineCommand:
             assert (tmp_path / "r1" / name).read_bytes() == (
                 tmp_path / "r2" / name
             ).read_bytes(), name
+
+
+# The README's config example, shrunk to a tiny run: 30 steps, a 1x2 GA.
+README_CONFIG = {
+    "data": {"path": str(FIXTURE_CSV), "train_fraction": 0.8},
+    "environment": {"lambda1": 0.1, "lambda2": 0.01, "confidence": 1.0, "prior": [5.0, 3.0]},
+    "td3": {"total_timesteps": 30, "gamma": 0.99, "tau": 0.005, "actor_delay": 2,
+            "batch_size": 8, "buffer_capacity": 10000, "exploration_sigma": 0.1,
+            "target_noise_sigma": 0.2, "target_noise_clip": 0.5,
+            "learning_rate": 0.001, "warmup_steps": 10},
+    "ga": {"generations": 1, "population_size": 2, "elite_fraction": 0.4,
+           "mutation_rate": 0.1, "init_sigma": 0.02, "mutation_strength": 0.05,
+           "rotation_sigma": 0.3},
+    "output_dir": "runs/default",
+    "seed": 60,
+}
+DELETE = "<delete>"
+_KEY_PATHS = [(section, key) for section, body in README_CONFIG.items()
+              if isinstance(body, dict) for key in body]
+_KEY_PATHS += [("output_dir",), ("seed",), ("environment", "prior", 0), ("environment", "prior", 1)]
+_BAD_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, "0.5", "nan", True, None,
+               [0.5], {"x": 1}, DELETE]
+_CELL_TEXTS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e309", "-1", "0", "", "abc"]
+
+
+def _edit(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value == DELETE:
+        del doc[last]
+    else:
+        doc[last] = copy.deepcopy(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.sampled_from(_KEY_PATHS), st.sampled_from(_BAD_VALUES)),
+                   max_size=1),
+    cells=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 3),
+                             st.sampled_from(_CELL_TEXTS)), max_size=1),
+)
+@example(edits=[(("environment", "lambda1"), "nan"), (("environment", "lambda2"), "inf")],
+         cells=[])
+@example(edits=[(("td3", "learning_rate"), math.inf), (("td3", "tau"), math.nan),
+                (("ga", "init_sigma"), math.inf)], cells=[])
+@example(edits=[(("environment", "prior"), ["nan", 3]), (("environment", "confidence"), "nan")],
+         cells=[])
+@example(edits=[(("environment", "prior"), [1e308, 1e308]),
+                (("environment", "confidence"), 1e308)], cells=[])
+@example(edits=[(("environment", "prior"), [5, 3, 2])], cells=[])
+@example(edits=[(("environment", "lambda1"), "0.1"), (("data", "train_fraction"), "0.8"),
+                (("environment", "prior"), ["5", 3]), (("seed",), True)], cells=[])
+@example(edits=[], cells=[(22, 1, "1e308"), (22, 2, "1e308")])
+@example(edits=[], cells=[(1, 1, "1e308"), (1, 2, "1e308")])
+def test_malformed_input_never_escapes_main(edits, cells):
+    """Any one bad config value, missing key or bad CSV cell ends in an exit code."""
+    doc = json.loads(json.dumps(README_CONFIG))
+    for path, value in edits:
+        _edit(doc, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        if cells:
+            doc["data"]["path"] = str(_mutated_csv(tmp, cells))
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["pipeline", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert rc in (0, 1, 2, 3, 4)

@@ -86,6 +86,12 @@ class TestLoadSeries:
         with pytest.raises(DataError):
             load_series(_write_csv(tmp_path, rows))
 
+    def test_overflowing_expense_total_rejected(self, tmp_path):
+        """Two finite cells whose sum is inf give no share to allocate against."""
+        rows = WELL_FORMED[:3] + ["2020-Q4,1e308,1e308,90"]
+        with pytest.raises(DataError, match="finite"):
+            load_series(_write_csv(tmp_path, rows))
+
 
 class TestFitScaler:
     def test_extrema(self):

@@ -18,7 +18,13 @@ from fiscalforge.environment import (
     validate_action,
     write_trace,
 )
-from fiscalforge.errors import ContractError, DataError, SequenceError, ShapeError
+from fiscalforge.errors import (
+    ContractError,
+    DataError,
+    DomainError,
+    SequenceError,
+    ShapeError,
+)
 from fiscalforge.special_functions import dirichlet_kl
 
 from conftest import DATA_DIR, make_series
@@ -123,6 +129,20 @@ class TestReset:
     def test_degenerate_quarter_rejected_at_construction(self):
         with pytest.raises(DataError, match="rnd \\+ sga is not positive"):
             _env([(10, 10, 1), (20, 20, 2), (0, 0, 3), (20, 20, 4)])
+
+    @pytest.mark.parametrize(
+        "belief",
+        [BeliefConfig(prior=(1e308, 1e308)), BeliefConfig(confidence=1e308),
+         BeliefConfig(prior=(float("nan"), 3.0))],
+        ids=["prior-overflow", "confidence-overflow", "prior-nan"],
+    )
+    def test_non_finite_belief_rejected_at_construction(self, belief):
+        with pytest.raises(DomainError):
+            _env(BASIC_ROWS, belief=belief)
+
+    def test_prior_needs_exactly_two_categories(self):
+        with pytest.raises(DomainError, match="exactly two"):
+            BeliefConfig(prior=(5.0, 3.0, 2.0))
 
     def test_degenerate_first_quarter_accepted(self):
         """Quarter 0 is only ever a state, never an allocation target."""

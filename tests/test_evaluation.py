@@ -165,7 +165,7 @@ class TestEvaluatePolicy:
 
     def test_oracle_policy_scores_perfectly(self):
         series, scaler = self._setup()
-        report, pairs = evaluate_policy(_OraclePolicy(series), series, scaler)
+        report, pairs = evaluate_policy(_OraclePolicy(series), BudgetEnv(series, scaler))
         assert report.mae <= 1e-12
         assert abs(report.cosine_similarity - 1.0) <= 1e-12
         assert report.kl_divergence <= 1e-12
@@ -173,12 +173,12 @@ class TestEvaluatePolicy:
 
     def test_quarter_count(self):
         series, scaler = self._setup()
-        report, _ = evaluate_policy(_UniformPolicy(), series, scaler)
+        report, _ = evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler))
         assert report.n_quarters == len(series) - 1
 
     def test_uniform_policy_matches_independent_arithmetic(self):
         series, scaler = self._setup()
-        report, _ = evaluate_policy(_UniformPolicy(), series, scaler)
+        report, _ = evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler))
         shares = []
         for rnd, sga, _ in FIXTURE_ROWS[1:]:
             shares.append(rnd / (rnd + sga))
@@ -199,7 +199,7 @@ class TestEvaluatePolicy:
 
         train_part, test_part = chrono_split(fixture_series, 0.8)
         scaler = fit_scaler(train_part)
-        report, _ = evaluate_policy(_UniformPolicy(), test_part, scaler)
+        report, _ = evaluate_policy(_UniformPolicy(), BudgetEnv(test_part, scaler))
 
         with open(FIXTURE_CSV, newline="") as fh:
             raw = [(float(r["rnd"]), float(r["sga"])) for r in csv.DictReader(fh)]
@@ -217,12 +217,12 @@ class TestEvaluatePolicy:
     def test_trace_emission(self, tmp_path):
         series, scaler = self._setup()
         trace_path = tmp_path / "trace.jsonl"
-        evaluate_policy(_UniformPolicy(), series, scaler, trace_path=trace_path)
+        evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler), trace_path=trace_path)
         assert len(trace_path.read_text().splitlines()) == len(series) - 1
 
     def test_report_dict_has_exactly_five_fields(self):
         series, scaler = self._setup()
-        report, _ = evaluate_policy(_UniformPolicy(), series, scaler)
+        report, _ = evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler))
         assert set(report.to_dict()) == {
             "mae", "rmse", "cosine_similarity", "kl_divergence", "n_quarters",
         }

@@ -101,8 +101,7 @@ def test_rollout_matches_step_oracle(
     assert evaluate_fitness(genome, spec, env) == expected_total
 
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
-    _, pairs = evaluate_policy(ActorPolicy(spec, genome), series, SCALER, reward, belief,
-                               trace_path=path)
+    _, pairs = evaluate_policy(ActorPolicy(spec, genome), env, trace_path=path)
     assert path.read_text(encoding="utf-8").splitlines() == expected_lines
     for pair, line in zip(pairs, expected_lines, strict=True):
         record = json.loads(line)
