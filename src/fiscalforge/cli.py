@@ -174,6 +174,8 @@ def load_run_config(
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"data.train_fraction must lie in (0, 1), got {train_fraction}")
     seed = doc.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return RunConfig(
         data_path=data["path"],
         train_fraction=train_fraction,

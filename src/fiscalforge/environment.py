@@ -22,9 +22,13 @@ non-positive rnd + sga in any quarter after the first raises DataError
 there; a belief vector or penalty that is not finite (a prior or
 confidence near the float maximum) raises DomainError. step() then
 validates the action, computes the accuracy and smoothness terms and
-reads the rest from the tables. rollout(act) is the one greedy-episode
-loop, read by GA fitness, evaluation and trace.jsonl: it steps with
-act(state) from reset to the episode's end.
+reads the rest from the tables. rollout(act) is the greedy-episode
+loop read by evaluation and trace.jsonl: it steps with act(state) from
+reset to the episode's end. A greedy episode is open-loop (state t is
+the scaled quarter t, whatever the actions), so GA fitness needs no
+loop: episode_totals scores a whole stack of action sequences, taken on
+episode_states, with step()'s arithmetic, and each total equals the sum
+of a rollout's rewards bit for bit.
 
 State vectors are float64 arrays laid out [rnd, sga, net_income] in
 scaled units; actions and empirical allocations are length-2 simplex
@@ -136,20 +140,24 @@ def update_belief(alpha: np.ndarray, empirical: np.ndarray, confidence: float) -
 
 
 def validate_action(action: np.ndarray, tolerance: float = ACTION_TOLERANCE) -> np.ndarray:
-    """Accept a near-simplex action, renormalizing float drift only.
+    """Accept near-simplex action rows, renormalizing float drift only.
 
-    Components below -tolerance or a sum further than tolerance from 1
-    indicate a logic bug in the caller and raise ContractError.
+    action is one (2,) row or any (..., 2) stack of rows, each checked
+    and renormalized on its own. A component below -tolerance or a row
+    sum further than tolerance from 1 indicates a logic bug in the
+    caller and raises ContractError.
     """
     a = np.asarray(action, dtype=np.float64)
-    if a.shape != (2,):
-        raise ContractError(f"action must have shape (2,), got {a.shape}")
+    if a.ndim < 1 or a.shape[-1] != 2:
+        raise ContractError(f"action rows must have 2 components, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ContractError("action contains non-finite components")
-    if np.any(a < -tolerance) or abs(a.sum() - 1.0) > tolerance:
-        raise ContractError(f"action {a.tolist()} is off the simplex beyond {tolerance}")
+    off = np.any(a < -tolerance, axis=-1) | (np.abs(a.sum(axis=-1) - 1.0) > tolerance)
+    if np.any(off):
+        row = a.reshape(-1, 2)[np.flatnonzero(off)[0]]
+        raise ContractError(f"action {row.tolist()} is off the simplex beyond {tolerance}")
     a = np.clip(a, 0.0, None)
-    return a / a.sum()
+    return a / a.sum(axis=-1, keepdims=True)
 
 
 def clip_to_simplex(vec: np.ndarray) -> np.ndarray:
@@ -241,6 +249,37 @@ class BudgetEnv:
         self._prev_action = a
         self._t = t + 1
         return StepResult(self._states[self._t].copy(), reward, self.done, a)
+
+    @property
+    def episode_states(self) -> np.ndarray:
+        """The (T, 3) states of one episode in step order: state t is quarter t."""
+        return self._states[:-1].copy()
+
+    def episode_totals(self, actions: np.ndarray) -> np.ndarray:
+        """Cumulative reward of each (T, 2) action sequence in a (..., T, 2) stack.
+
+        Action t of a sequence is the one taken at step t. Each term is
+        step()'s arithmetic on the same values, the smoothness norm
+        through the ddot that np.linalg.norm calls, and each sequence's
+        step totals are summed in step order from 0.0. A total thus
+        equals, bit for bit, the sum of reward.total over a rollout that
+        takes the same actions.
+        """
+        a = validate_action(actions)
+        if a.shape[-2:] != self._empirical.shape:
+            raise ContractError(
+                f"expected actions of shape (..., {len(self._empirical)}, 2), got {a.shape}"
+            )
+        accuracy = -np.abs(a - self._empirical).sum(axis=-1)
+        first = np.broadcast_to(UNIFORM_ACTION, (*a.shape[:-2], 1, 2))
+        moves = a - np.concatenate([first, a[..., :-1, :]], axis=-2)
+        norms = np.sqrt((moves[..., None, :] @ moves[..., :, None])[..., 0, 0])
+        smoothness = -self.reward_config.lambda1 * norms
+        steps = accuracy + smoothness + self._belief_terms
+        totals = np.zeros(steps.shape[:-1])
+        for t in range(steps.shape[-1]):
+            totals += steps[..., t]
+        return totals
 
     def rollout(self, act: Callable[[np.ndarray], np.ndarray]) -> Episode:
         """Reset, then step with act(state) until the episode ends."""

@@ -19,6 +19,12 @@ output and its gradient (the TD3 updates) run the forward pass once and
 hand its cache to ``_backward``. The flat layout's slices are computed
 once per ``MlpSpec``. A single input is a batch of one; the only
 per-row entry point is ``forward_actor``, the greedy action of a state.
+
+``forward_population`` is the greedy action of many actors on many
+states at once, the GA's fitness forward pass. It stacks one matmul per
+layer whose every row is the same (1, d) @ (d, k) product, on the same
+transposed weight view, that ``forward_actor`` computes, so each action
+is bit-identical to a ``forward_actor`` call.
 """
 
 import json
@@ -37,6 +43,7 @@ __all__ = [
     "init_params",
     "forward_batch",
     "forward_actor",
+    "forward_population",
     "vjp_batch",
     "flatten",
     "unflatten",
@@ -194,6 +201,44 @@ def forward_actor(params: np.ndarray, spec: MlpSpec, state: np.ndarray) -> np.nd
     if not np.all(np.isfinite(y)):
         raise NumericError("actor produced a non-finite allocation")
     return y
+
+
+def forward_population(genomes: np.ndarray, spec: MlpSpec, states: np.ndarray) -> np.ndarray:
+    """Simplex-head forward pass of every genome row on every state: (N, T, output_dim).
+
+    Each layer is one matmul of (N, T, 1, d) inputs with (N, 1, d, k)
+    weights, each genome's weights the transposed C-order view that
+    unflatten gives; every row is thus the (1, d) @ (d, k) BLAS call of
+    forward_actor, and action [i, t] equals forward_actor(genomes[i],
+    spec, states[t]) bit for bit.
+    """
+    if spec.output_head != SIMPLEX:
+        raise ContractError("forward_population requires a simplex output head")
+    genomes = np.asarray(genomes, dtype=np.float64)
+    if genomes.ndim != 2 or genomes.shape[1] != spec.param_count():
+        raise ShapeError(
+            f"expected genomes of shape (n, {spec.param_count()}), got {genomes.shape}"
+        )
+    n = len(genomes)
+    layers = [
+        (genomes[:, w].reshape(n, *shape).transpose(0, 2, 1)[:, None], genomes[:, None, None, b])
+        for w, b, shape in spec._layout
+    ]
+    a = _as_batch(spec, states)[None, :, None, :]
+    for w, b in layers[:-1]:
+        h = a @ w
+        h += b
+        np.tanh(h, out=h)
+        a = h
+    w, b = layers[-1]
+    y = a @ w
+    y += b
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(y)):
+        raise NumericError("actor produced a non-finite allocation")
+    return y[:, :, 0]
 
 
 def vjp_batch(

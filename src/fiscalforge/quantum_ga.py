@@ -10,9 +10,15 @@ angle dtheta, and nudged by the resulting |1> amplitude, sin(dtheta),
 scaled by the mutation strength. The perturbations are therefore
 zero-centered, symmetric, and bounded by the strength.
 
-Fitness is the cumulative reward of one greedy episode,
-BudgetEnv.rollout with the genome's noise-free actor; the episode is
-deterministic, so one suffices.
+The population is one (N, P) array of genome rows with a fitness
+vector beside it (NaN until a row is scored). Fitness is the cumulative
+reward of one greedy episode with the genome's noise-free actor; the
+episode is deterministic, so one suffices. It is also open-loop, since
+the state of step t is quarter t whatever the actions, so
+evaluate_population scores every unscored row at once: one
+forward_population call gives all their actions and
+BudgetEnv.episode_totals all their totals, each bit-identical to the sum
+of a step-by-step rollout. evaluate_fitness is its one-genome case.
 
 The best individual ever seen is carried forward unmodified each
 generation, so the best fitness can never regress below the input
@@ -26,25 +32,19 @@ import numpy as np
 
 from .environment import BudgetEnv
 from .errors import ContractError, ShapeError
-from .neural_core import ActorPolicy, MlpSpec, forward_actor
+from .neural_core import ActorPolicy, MlpSpec, forward_population
 
 __all__ = [
-    "Individual",
     "GaConfig",
     "GenerationLog",
     "init_population",
+    "evaluate_population",
     "evaluate_fitness",
     "select_elites",
     "uniform_crossover",
     "quantum_mutate",
     "evolve",
 ]
-
-
-@dataclass
-class Individual:
-    genome: np.ndarray
-    fitness: float | None = None
 
 
 @dataclass(frozen=True)
@@ -81,35 +81,38 @@ class GenerationLog:
 
 def init_population(
     base: np.ndarray, config: GaConfig, rng: np.random.Generator | None = None
-) -> list[Individual]:
-    """Gaussian cloud around the base genome; individual 0 is the base itself."""
+) -> np.ndarray:
+    """(population_size, P) Gaussian cloud around the base genome; row 0 is the base itself."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     base = np.asarray(base, dtype=np.float64)
-    population = [Individual(base.copy())]
-    for _ in range(config.population_size - 1):
-        population.append(
-            Individual(base + rng.normal(0.0, config.init_sigma, size=base.shape))
-        )
-    return population
+    noise = rng.normal(0.0, config.init_sigma, size=(config.population_size - 1, base.size))
+    return np.vstack([base, base + noise])
+
+
+def evaluate_population(genomes: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> np.ndarray:
+    """Cumulative greedy-episode reward of each genome row, all rows in one pass.
+
+    A greedy episode is open-loop: the state of step t is quarter t
+    whatever the actions, so every action of every genome comes from one
+    forward_population call and every total from env.episode_totals.
+    """
+    return env.episode_totals(forward_population(genomes, spec, env.episode_states))
 
 
 def evaluate_fitness(genome: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> float:
-    """Cumulative reward of a greedy (noise-free) rollout from reset."""
-    total = 0.0
-    for reward in env.rollout(lambda state: forward_actor(genome, spec, state)).rewards:
-        total += reward.total
-    return total
+    """Cumulative reward of one greedy (noise-free) episode from reset."""
+    return float(evaluate_population(np.asarray(genome)[None], spec, env)[0])
 
 
-def select_elites(population: list[Individual], elite_fraction: float) -> list[Individual]:
-    """Top ceil(fraction * N) by fitness, ties broken by lower index."""
-    for i, ind in enumerate(population):
-        if ind.fitness is None:
-            raise ContractError(f"individual {i} has no fitness yet")
-    k = math.ceil(elite_fraction * len(population))
-    order = sorted(range(len(population)), key=lambda i: (-population[i].fitness, i))
-    return [population[i] for i in order[:k]]
+def select_elites(fitness: np.ndarray, elite_fraction: float) -> np.ndarray:
+    """Indices of the top ceil(fraction * N) fitnesses, ties broken by lower index."""
+    fitness = np.asarray(fitness, dtype=np.float64)
+    unscored = np.flatnonzero(np.isnan(fitness))
+    if unscored.size:
+        raise ContractError(f"individual {unscored[0]} has no fitness yet")
+    k = math.ceil(elite_fraction * len(fitness))
+    return np.argsort(-fitness, kind="stable")[:k]
 
 
 def uniform_crossover(
@@ -157,41 +160,41 @@ def evolve(
 
     rng = np.random.default_rng(config.seed)
     population = init_population(base_policy.params, config, rng)
+    fitness = np.full(len(population), np.nan)  # NaN: not scored yet
     best_genome = base_policy.params.copy()
     best_fitness = -math.inf
 
     for generation in range(config.generations):
-        for ind in population:
-            if ind.fitness is None:
-                ind.fitness = evaluate_fitness(ind.genome, base_policy.spec, env)
-        fitnesses = [ind.fitness for ind in population]
-        gen_best_idx = int(np.argmax(fitnesses))
-        if fitnesses[gen_best_idx] > best_fitness:
-            best_fitness = fitnesses[gen_best_idx]
-            best_genome = population[gen_best_idx].genome.copy()
+        unscored = np.isnan(fitness)
+        fitness[unscored] = evaluate_population(population[unscored], base_policy.spec, env)
+        gen_best_idx = int(np.argmax(fitness))
+        if fitness[gen_best_idx] > best_fitness:
+            best_fitness = fitness[gen_best_idx]
+            best_genome = population[gen_best_idx].copy()
 
-        elites = select_elites(population, config.elite_fraction)
-        offspring: list[Individual] = []
+        elites = select_elites(fitness, config.elite_fraction)
+        # The all-time best re-enters unmodified (elitist hall of fame).
+        children = np.empty_like(population)
+        children[0] = best_genome
         perturbations: list[float] = []
-        for _ in range(config.population_size - 1):
-            pa = elites[rng.integers(0, len(elites))]
-            pb = elites[rng.integers(0, len(elites))]
-            child = uniform_crossover(pa.genome, pb.genome, rng)
-            child, deltas = quantum_mutate(child, config, rng)
-            offspring.append(Individual(child))
+        for i in range(1, len(children)):
+            pa = population[elites[rng.integers(0, len(elites))]]
+            pb = population[elites[rng.integers(0, len(elites))]]
+            children[i], deltas = quantum_mutate(uniform_crossover(pa, pb, rng), config, rng)
             perturbations.extend(deltas.tolist())
 
         logs.append(
             GenerationLog(
                 generation=generation,
-                best=float(fitnesses[gen_best_idx]),
-                mean=float(np.mean(fitnesses)),
-                fitnesses=tuple(float(f) for f in fitnesses),
+                best=float(fitness[gen_best_idx]),
+                mean=float(np.mean(fitness)),
+                fitnesses=tuple(fitness.tolist()),
                 n_mutations=len(perturbations),
                 perturbations=tuple(perturbations),
             )
         )
-        # The all-time best re-enters unmodified (elitist hall of fame).
-        population = [Individual(best_genome.copy(), best_fitness)] + offspring
+        population = children
+        fitness = np.full(len(children), np.nan)
+        fitness[0] = best_fitness
 
     return ActorPolicy(base_policy.spec, best_genome.copy()), logs

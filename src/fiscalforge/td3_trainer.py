@@ -130,9 +130,11 @@ class TD3Config:
             raise ContractError("total_timesteps must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ContractError("gamma must lie in [0, 1)")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ContractError("tau must lie in [0, 1]")
         if self.actor_delay < 1 or self.batch_size < 1 or self.buffer_capacity < 1:
             raise ContractError("actor_delay, batch_size, buffer_capacity must be positive")
-        if min(self.tau, self.exploration_sigma, self.target_noise_sigma,
+        if min(self.exploration_sigma, self.target_noise_sigma,
                self.target_noise_clip, self.learning_rate) < 0:
             raise ContractError("rates and noise scales must be non-negative")
         if self.warmup_steps < 0:

@@ -16,6 +16,8 @@ import sys
 
 import pytest
 
+from fiscalforge.data_ingest import chrono_split, load_series
+
 from conftest import FIXTURE_CSV, REPO_ROOT
 
 PERFBENCH = REPO_ROOT / "perfbench"
@@ -86,9 +88,17 @@ def test_traced_child_run_counts(tmp_path):
     counts = result["counts"]
     assert counts["neural_core.checkpoint.loads"] == 2
     assert counts["neural_core.forward_batch.calls"] > 0
-    assert counts["quantum_ga.evaluate_fitness.calls"] > 0
     assert counts["data_ingest.rows_parsed"] > 0
     # One CSV parse and one env per split, however many stages read them.
     assert counts["data_ingest.load_series.calls"] == 1
     assert counts["environment.build.calls"] == 2
+    # The GA scores its populations without evaluate_fitness or step():
+    # only the summary's pre- and post-refinement scores call the one, and
+    # only training and the two held-out rollouts call the other.
+    assert counts["quantum_ga.evaluate_fitness.calls"] == 2
+    data = TINY_CONFIG["data"]
+    _, test_part = chrono_split(load_series(data["path"]), data["train_fraction"])
+    assert counts["environment.step.calls"] == (
+        TINY_CONFIG["td3"]["total_timesteps"] + 2 * (len(test_part) - 1)
+    )
     assert spans.read_text().count("\n") == counts["trace.spans"]

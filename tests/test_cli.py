@@ -123,18 +123,29 @@ class TestRunConfig:
             {"environment": {"lambda1": "0.1"}, "data": {"train_fraction": "0.8"}},
             {"environment": {"prior": ["5", 3]}},
             {"seed": True},
+            {"seed": -5},
+            {"seed": -1},
+            {"td3": {"tau": 1e308}},
+            {"td3": {"tau": 2.0}},
+            {"td3": {"tau": -0.5}},
         ],
         ids=["fraction-text", "fraction-list", "fraction-nan", "fraction-above-1",
              "fraction-zero", "path-number", "out-number",
              "td3-float-count", "td3-bool-count", "ga-float-count", "ga-float-size",
              "lambda-text", "rate-non-finite", "belief-nan-text", "prior-overflow",
              "confidence-overflow", "prior-three", "number-text", "prior-text",
-             "seed-bool"],
+             "seed-bool", "seed-negative", "seed-minus-one", "tau-overflow", "tau-above-1",
+             "tau-negative"],
     )
     def test_malformed_value_exits_1(self, tmp_path, capsys, overrides):
         config = _write_config(tmp_path, overrides)
         assert main(["pipeline", "--config", str(config)]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
+        config = _write_config(tmp_path)
+        assert main(["train", "--config", str(config), "--seed", "-5"]) == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -238,6 +249,15 @@ class TestRefineCommand:
         (tmp_path / "out" / "actor.ckpt").write_bytes(b"garbage bytes")
         main(["refine", "--config", str(config)])
         assert (tmp_path / "out" / "history.jsonl").read_bytes() == history
+
+    def test_overflowing_init_sigma_exits_4(self, tmp_path, capsys):
+        """Any finite sigma is a valid setting; the actor overflows when the population is scored."""
+        config = _write_config(tmp_path, {"ga": {"init_sigma": 1e308}})
+        main(["train", "--config", str(config)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["refine", "--config", str(config)]) == 4
+        assert "non-finite allocation" in capsys.readouterr().err
 
     def test_zero_generations_returns_input_checkpoint(self, tmp_path):
         config = _write_config(tmp_path, {"ga": {"generations": 0}})

@@ -13,7 +13,6 @@ from fiscalforge.errors import ContractError, ShapeError
 from fiscalforge.neural_core import ActorPolicy, MlpSpec, init_params
 from fiscalforge.quantum_ga import (
     GaConfig,
-    Individual,
     evaluate_fitness,
     evolve,
     init_population,
@@ -39,21 +38,22 @@ class TestInitPopulation:
     def test_zero_sigma_gives_clones(self):
         base = np.arange(10.0)
         pop = init_population(base, GaConfig(init_sigma=0.0, seed=1))
-        for ind in pop:
-            np.testing.assert_array_equal(ind.genome, base)
+        assert pop.shape == (5, 10)
+        for genome in pop:
+            np.testing.assert_array_equal(genome, base)
 
     def test_population_of_one_is_just_the_base(self):
         base = np.arange(5.0)
         pop = init_population(base, GaConfig(population_size=1, seed=1))
-        assert len(pop) == 1
-        np.testing.assert_array_equal(pop[0].genome, base)
+        assert pop.shape == (1, 5)
+        np.testing.assert_array_equal(pop[0], base)
 
     def test_individual_zero_is_unperturbed(self):
         base = np.arange(20.0)
         pop = init_population(base, GaConfig(population_size=5, seed=2))
-        np.testing.assert_array_equal(pop[0].genome, base)
-        for ind in pop[1:]:
-            assert np.any(ind.genome != base)
+        np.testing.assert_array_equal(pop[0], base)
+        for genome in pop[1:]:
+            assert np.any(genome != base)
 
     def test_perturbations_are_centered(self):
         """1e5 pooled draws have mean within 4*sigma/sqrt(n) of zero."""
@@ -61,17 +61,14 @@ class TestInitPopulation:
         base = np.zeros(1000)
         cfg = GaConfig(population_size=101, init_sigma=sigma, seed=3)
         pop = init_population(base, cfg)
-        draws = np.concatenate([ind.genome for ind in pop[1:]])
+        draws = pop[1:].ravel()
         assert draws.size == 100_000
         assert abs(draws.mean()) <= 4.0 * sigma / math.sqrt(draws.size)
 
     def test_deterministic_given_seed(self):
         base = np.zeros(16)
         cfg = GaConfig(population_size=4, seed=9)
-        a = init_population(base, cfg)
-        b = init_population(base, cfg)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.genome, y.genome)
+        np.testing.assert_array_equal(init_population(base, cfg), init_population(base, cfg))
 
 
 class TestEvaluateFitness:
@@ -122,27 +119,21 @@ class TestEvaluateFitness:
 
 
 class TestSelectElites:
-    def _pop(self, fitnesses):
-        return [Individual(np.array([float(i)]), f) for i, f in enumerate(fitnesses)]
-
     def test_two_of_five_at_forty_percent(self):
-        pop = self._pop([-5.0, -1.0, -3.0, -2.0, -4.0])
-        elites = select_elites(pop, 0.4)
-        assert [e.fitness for e in elites] == [-1.0, -2.0]
+        fitness = np.array([-5.0, -1.0, -3.0, -2.0, -4.0])
+        elites = select_elites(fitness, 0.4)
+        assert fitness[elites].tolist() == [-1.0, -2.0]
 
     def test_fraction_one_keeps_everyone(self):
-        pop = self._pop([-5.0, -1.0, -3.0])
-        assert len(select_elites(pop, 1.0)) == 3
+        assert len(select_elites(np.array([-5.0, -1.0, -3.0]), 1.0)) == 3
 
     def test_ties_broken_by_lower_index(self):
-        pop = self._pop([-2.0, -2.0, -2.0, -2.0])
-        elites = select_elites(pop, 0.5)
-        assert [e.genome[0] for e in elites] == [0.0, 1.0]
+        elites = select_elites(np.array([-2.0, -2.0, -2.0, -2.0]), 0.5)
+        assert elites.tolist() == [0, 1]
 
     def test_unevaluated_individual_rejected(self):
-        pop = [Individual(np.zeros(2), -1.0), Individual(np.zeros(2), None)]
         with pytest.raises(ContractError):
-            select_elites(pop, 0.5)
+            select_elites(np.array([-1.0, np.nan]), 0.5)
 
 
 class TestUniformCrossover:
