@@ -23,7 +23,7 @@ from .environment import (  # noqa: F401
     empirical_allocation,
     update_belief,
 )
-from .evaluation import AllocationPair, MetricsReport, evaluate_policy  # noqa: F401
+from .evaluation import MetricsReport, evaluate_policy  # noqa: F401
 from .neural_core import ActorPolicy, MlpSpec  # noqa: F401
 from .quantum_ga import GaConfig, evolve  # noqa: F401
 from .special_functions import digamma, dirichlet_kl, ln_gamma  # noqa: F401

@@ -279,13 +279,12 @@ def cmd_evaluate(cfg: RunConfig) -> MetricsReport:
     policy = _load_actor(ckpt)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    report, pairs = evaluate_policy(policy, env, trace_path=out / "trace.jsonl")
+    report, actions = evaluate_policy(policy, env, trace_path=out / "trace.jsonl")
     _write_json(out / "metrics.json", report.to_dict())
     with (out / "pairs.csv").open("w", encoding="utf-8") as fh:
         fh.write("t,pred_rnd,pred_sga,actual_rnd,actual_sga\n")
-        for t, p in enumerate(pairs):
-            cells = (repr(float(v)) for v in (*p.predicted, *p.actual))
-            fh.write(f"{t},{','.join(cells)}\n")
+        for t, row in enumerate(np.hstack([actions, env.empirical]).tolist()):
+            fh.write(f"{t},{','.join(map(repr, row))}\n")
     print(f"mae: {report.mae:.6f}")
     print(f"rmse: {report.rmse:.6f}")
     print(f"cosine_similarity: {report.cosine_similarity:.6f}")

@@ -32,6 +32,7 @@ __all__ = [
 _PERIOD_RE = re.compile(r"^(\d{4})-Q([1-4])$")
 FEATURES = ("rnd", "sga", "net_income")
 EXPECTED_HEADER = ["period", "rnd", "sga", "net_income"]
+MIN_ROWS = 4
 
 
 def period_key(period: str) -> tuple[int, int]:
@@ -71,7 +72,7 @@ class FinancialSeries:
         return self.records[idx]
 
 
-def load_series(path: str | Path, min_rows: int = 4) -> FinancialSeries:
+def load_series(path: str | Path) -> FinancialSeries:
     """Parse, validate, and chronologically sort a quarterly CSV."""
     path = Path(path)
     try:
@@ -118,9 +119,9 @@ def load_series(path: str | Path, min_rows: int = 4) -> FinancialSeries:
             raise DataError(f"{path}:{lineno}: rnd + sga must be positive and finite")
         records.append(QuarterRecord(period, rnd, sga, net))
 
-    if len(records) < min_rows:
+    if len(records) < MIN_ROWS:
         raise DataError(
-            f"{path}: only {len(records)} valid rows, need at least {min_rows}"
+            f"{path}: only {len(records)} valid rows, need at least {MIN_ROWS}"
         )
     records.sort(key=lambda r: period_key(r.period))
     return FinancialSeries(tuple(records), dropped_rows=dropped)

@@ -20,15 +20,15 @@ empirical shares, the belief vectors (by the same sequential
 update_belief loop) and the belief penalties. A series with a
 non-positive rnd + sga in any quarter after the first raises DataError
 there; a belief vector or penalty that is not finite (a prior or
-confidence near the float maximum) raises DomainError. step() then
-validates the action, computes the accuracy and smoothness terms and
-reads the rest from the tables. rollout(act) is the greedy-episode
-loop read by evaluation and trace.jsonl: it steps with act(state) from
-reset to the episode's end. A greedy episode is open-loop (state t is
-the scaled quarter t, whatever the actions), so GA fitness needs no
-loop: episode_totals scores a whole stack of action sequences, taken on
-episode_states, with step()'s arithmetic, and each total equals the sum
-of a rollout's rewards bit for bit.
+confidence near the float maximum) raises DomainError. step(), the
+path training takes, validates one action, computes the accuracy and
+smoothness terms and reads the rest from the tables. A greedy episode
+is open-loop (state t is the scaled quarter t, whatever the actions),
+so GA fitness, evaluation and trace.jsonl need no step loop:
+episode_rewards scores a stack of action sequences taken on
+episode_states with step()'s arithmetic, bit for bit. Each action
+sequence is validated exactly once: validate_action renormalizes, so a
+second pass could move the last ulp.
 
 State vectors are float64 arrays laid out [rnd, sga, net_income] in
 scaled units; actions and empirical allocations are length-2 simplex
@@ -39,7 +39,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = [
     "BeliefConfig",
     "RewardBreakdown",
     "StepResult",
-    "Episode",
     "BudgetEnv",
     "empirical_allocation",
     "update_belief",
@@ -95,10 +93,10 @@ class BeliefConfig:
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    accuracy_term: float
-    smoothness_term: float
-    belief_term: float
-    total: float
+    accuracy_term: float | np.ndarray
+    smoothness_term: float | np.ndarray
+    belief_term: float | np.ndarray
+    total: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,16 +105,6 @@ class StepResult:
     reward: RewardBreakdown
     done: bool
     action: np.ndarray
-
-
-@dataclass(frozen=True)
-class Episode:
-    """Actions, rewards and the env's (read-only) tables of one episode."""
-
-    actions: np.ndarray
-    rewards: tuple[RewardBreakdown, ...]
-    empirical: np.ndarray
-    alphas: np.ndarray
 
 
 def empirical_allocation(series: FinancialSeries, t: int) -> np.ndarray:
@@ -161,12 +149,15 @@ def validate_action(action: np.ndarray, tolerance: float = ACTION_TOLERANCE) -> 
 
 
 def clip_to_simplex(vec: np.ndarray) -> np.ndarray:
-    """Project an arbitrary 2-vector to the simplex: clamp to [0,1], renormalize."""
+    """Project each row of a (..., 2) stack to the simplex.
+
+    Each row is clamped to [0, 1] and renormalized; a row whose clamped
+    sum is zero becomes uniform.
+    """
     v = np.clip(np.asarray(vec, dtype=np.float64), 0.0, 1.0)
-    total = v.sum()
-    if total <= 0.0:
-        return UNIFORM_ACTION.copy()
-    return v / total
+    sums = v.sum(axis=-1, keepdims=True)
+    # A NaN row is not degenerate: it stays NaN for the caller's finiteness checks.
+    return np.divide(v, sums, out=np.full_like(v, 0.5), where=~(sums <= 0.0))
 
 
 class BudgetEnv:
@@ -208,7 +199,9 @@ class BudgetEnv:
             empirical.append(shares)
             alphas.append(alpha)
             belief_terms.append(term)
-        self._empirical = np.array(empirical)
+        # Read-only (T, 2) realized shares: action t is scored against row t.
+        self.empirical = np.array(empirical)
+        self.empirical.flags.writeable = False
         self._alphas = np.array(alphas)
         self._belief_terms = belief_terms
         self._t: int | None = None
@@ -216,7 +209,7 @@ class BudgetEnv:
 
     @property
     def done(self) -> bool:
-        return self._t is not None and self._t >= len(self._empirical)
+        return self._t is not None and self._t >= len(self.empirical)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -237,7 +230,7 @@ class BudgetEnv:
             raise SequenceError("step() after the episode finished")
         a = validate_action(action)
         t = self._t
-        empirical = self._empirical[t]
+        empirical = self.empirical[t]
 
         accuracy = -float(np.abs(a - empirical).sum())
         smoothness = -self.reward_config.lambda1 * float(
@@ -255,58 +248,60 @@ class BudgetEnv:
         """The (T, 3) states of one episode in step order: state t is quarter t."""
         return self._states[:-1].copy()
 
-    def episode_totals(self, actions: np.ndarray) -> np.ndarray:
-        """Cumulative reward of each (T, 2) action sequence in a (..., T, 2) stack.
+    def episode_rewards(self, actions: np.ndarray) -> tuple[np.ndarray, RewardBreakdown]:
+        """Validated actions and per-step rewards of a (..., T, 2) stack of action sequences.
 
-        Action t of a sequence is the one taken at step t. Each term is
-        step()'s arithmetic on the same values, the smoothness norm
-        through the ddot that np.linalg.norm calls, and each sequence's
-        step totals are summed in step order from 0.0. A total thus
-        equals, bit for bit, the sum of reward.total over a rollout that
-        takes the same actions.
+        Action t of a sequence is the one taken at step t. The reward
+        terms are (..., T) arrays, each step()'s arithmetic on the same
+        values, the smoothness norm through the ddot that np.linalg.norm
+        calls; so every term equals, bit for bit, the one step() gives
+        when a reset env takes the same actions.
         """
         a = validate_action(actions)
-        if a.shape[-2:] != self._empirical.shape:
+        if a.shape[-2:] != self.empirical.shape:
             raise ContractError(
-                f"expected actions of shape (..., {len(self._empirical)}, 2), got {a.shape}"
+                f"expected actions of shape (..., {len(self.empirical)}, 2), got {a.shape}"
             )
-        accuracy = -np.abs(a - self._empirical).sum(axis=-1)
+        accuracy = -np.abs(a - self.empirical).sum(axis=-1)
         first = np.broadcast_to(UNIFORM_ACTION, (*a.shape[:-2], 1, 2))
         moves = a - np.concatenate([first, a[..., :-1, :]], axis=-2)
         norms = np.sqrt((moves[..., None, :] @ moves[..., :, None])[..., 0, 0])
         smoothness = -self.reward_config.lambda1 * norms
-        steps = accuracy + smoothness + self._belief_terms
+        belief = np.broadcast_to(self._belief_terms, accuracy.shape)
+        total = accuracy + smoothness + belief
+        return a, RewardBreakdown(accuracy, smoothness, belief, total)
+
+    def episode_totals(self, actions: np.ndarray) -> np.ndarray:
+        """Each sequence's episode_rewards totals, summed in step order from 0.0."""
+        steps = self.episode_rewards(actions)[1].total
         totals = np.zeros(steps.shape[:-1])
         for t in range(steps.shape[-1]):
             totals += steps[..., t]
         return totals
 
-    def rollout(self, act: Callable[[np.ndarray], np.ndarray]) -> Episode:
-        """Reset, then step with act(state) until the episode ends."""
-        state = self.reset()
-        actions, rewards = [], []
-        while not self.done:
-            result = self.step(act(state))
-            actions.append(result.action)
-            rewards.append(result.reward)
-            state = result.next_state
-        return Episode(np.array(actions), tuple(rewards), self._empirical, self._alphas)
 
-
-def write_trace(episode: Episode, path: str | Path) -> None:
-    """Dump one JSON line per step of the episode (overlay-plot input)."""
+def write_trace(
+    env: BudgetEnv, actions: np.ndarray, rewards: RewardBreakdown, path: str | Path
+) -> None:
+    """One JSON line per step of the (T, 2) actions and rewards of env.episode_rewards."""
+    rows = zip(
+        actions.tolist(), env.empirical.tolist(), env._alphas.tolist(),
+        rewards.accuracy_term.tolist(), rewards.smoothness_term.tolist(),
+        rewards.belief_term.tolist(), rewards.total.tolist(),
+        strict=True,
+    )
     with Path(path).open("w", encoding="utf-8") as fh:
-        for t, r in enumerate(episode.rewards):
+        for t, (action, empirical, alpha, accuracy, smoothness, belief, total) in enumerate(rows):
             record = {
                 "t": t,
-                "action": episode.actions[t].tolist(),
-                "empirical": episode.empirical[t].tolist(),
+                "action": action,
+                "empirical": empirical,
                 "reward_terms": {
-                    "accuracy": r.accuracy_term,
-                    "smoothness": r.smoothness_term,
-                    "belief": r.belief_term,
-                    "total": r.total,
+                    "accuracy": accuracy,
+                    "smoothness": smoothness,
+                    "belief": belief,
+                    "total": total,
                 },
-                "alpha": episode.alphas[t].tolist(),
+                "alpha": alpha,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")

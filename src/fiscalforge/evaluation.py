@@ -1,13 +1,14 @@
 """Score greedy policy allocations against held-out empirical shares.
 
-Four summary metrics over per-quarter (predicted, actual) simplex
-pairs: mean absolute error and root mean squared error over the
-flattened componentwise residuals, mean cosine similarity per pair, and
-mean KL divergence per pair with the actual allocation as the reference
+Four summary metrics over (T, 2) predicted and actual simplex rows:
+mean absolute error and root mean squared error over the flattened
+componentwise residuals, mean cosine similarity per row, and mean KL
+divergence per row with the actual allocation as the reference
 distribution (predicted components floored at 1e-12, zero actual mass
-contributes zero). The pairs come from one rollout of the policy over
-an env the caller builds (the CLI's test-split env, shared by the
-pre- and post-refinement reports), which also feeds trace.jsonl.
+contributes zero). The predictions are the greedy actions of the
+policy on an env the caller builds (the CLI's test-split env, shared by
+the pre- and post-refinement reports), scored by env.episode_rewards
+as GA fitness is; they also feed trace.jsonl.
 """
 
 import math
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import BudgetEnv, write_trace
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, ShapeError
 
 __all__ = [
-    "AllocationPair",
     "MetricsReport",
     "mae",
     "rmse",
@@ -29,12 +29,6 @@ __all__ = [
 ]
 
 _KL_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class AllocationPair:
-    predicted: np.ndarray
-    actual: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -55,66 +49,72 @@ class MetricsReport:
         }
 
 
-def _residuals(pairs: list[AllocationPair]) -> np.ndarray:
-    if not pairs:
+def _rows(predicted: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments as float64 (T, 2) arrays of equal shape, T >= 1."""
+    p = np.asarray(predicted, dtype=np.float64)
+    a = np.asarray(actual, dtype=np.float64)
+    if p.shape != a.shape or p.ndim != 2 or p.shape[1] != 2:
+        raise ShapeError(f"expected two (T, 2) arrays, got {p.shape} and {a.shape}")
+    if not len(p):
         raise DataError("no allocation pairs to score")
-    return np.concatenate([np.asarray(p.predicted) - np.asarray(p.actual) for p in pairs])
+    return p, a
 
 
-def mae(pairs: list[AllocationPair]) -> float:
-    return float(np.abs(_residuals(pairs)).mean())
+def _residuals(predicted: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    p, a = _rows(predicted, actual)
+    return (p - a).ravel()
 
 
-def rmse(pairs: list[AllocationPair]) -> float:
-    r = _residuals(pairs)
+def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
+    return float(np.abs(_residuals(predicted, actual)).mean())
+
+
+def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
+    r = _residuals(predicted, actual)
     return float(np.sqrt((r * r).mean()))
 
 
-def cosine_similarity(pairs: list[AllocationPair]) -> float:
-    if not pairs:
-        raise DataError("no allocation pairs to score")
-    values = []
-    for p in pairs:
-        pred = np.asarray(p.predicted, dtype=np.float64)
-        act = np.asarray(p.actual, dtype=np.float64)
-        np_norm, na_norm = np.linalg.norm(pred), np.linalg.norm(act)
-        if np_norm == 0.0 or na_norm == 0.0:
-            raise DomainError("cosine similarity undefined for a zero vector")
-        values.append(float(pred @ act) / (np_norm * na_norm))
-    return float(np.mean(values))
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each the ddot of one (1, 2) @ (2, 1) product."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def kl_divergence(pairs: list[AllocationPair]) -> float:
-    if not pairs:
-        raise DataError("no allocation pairs to score")
-    values = []
-    for p in pairs:
-        pred = np.maximum(np.asarray(p.predicted, dtype=np.float64), _KL_FLOOR)
-        act = np.asarray(p.actual, dtype=np.float64)
-        acc = 0.0
-        for a, q in zip(act, pred):
-            if a > 0.0:
-                acc += a * math.log(a / q)
-        values.append(acc)
-    return float(np.mean(values))
+def cosine_similarity(predicted: np.ndarray, actual: np.ndarray) -> float:
+    p, a = _rows(predicted, actual)
+    p_norms, a_norms = np.sqrt(_dots(p, p)), np.sqrt(_dots(a, a))
+    if np.any(p_norms == 0.0) or np.any(a_norms == 0.0):
+        raise DomainError("cosine similarity undefined for a zero vector")
+    return float(np.mean(_dots(p, a) / (p_norms * a_norms)))
+
+
+def kl_divergence(predicted: np.ndarray, actual: np.ndarray) -> float:
+    p, a = _rows(predicted, actual)
+    ratios = a / np.maximum(p, _KL_FLOOR)
+    terms = np.zeros_like(a)
+    mass = a > 0.0
+    # math.log, not np.log: the two differ in the last ulp on some inputs.
+    terms[mass] = [x * math.log(r) for x, r in zip(a[mass].tolist(), ratios[mass].tolist())]
+    return float(np.mean(terms.sum(axis=1)))
 
 
 def evaluate_policy(
     policy, env: BudgetEnv, trace_path=None
-) -> tuple[MetricsReport, list[AllocationPair]]:
-    """Greedy rollout over the env's series; collects one pair per step.
+) -> tuple[MetricsReport, np.ndarray]:
+    """Score the policy's greedy actions on the env's episode states.
 
-    ``policy`` is anything with an ``act(state) -> allocation`` method.
+    ``policy`` is anything with an ``act(states) -> allocations`` method
+    mapping a (T, 3) stack of states to (T, 2) simplex rows. Returns the
+    report and the validated (T, 2) actions; row t is scored against
+    ``env.empirical[t]``.
     """
-    episode = env.rollout(policy.act)
-    pairs = [AllocationPair(a, e) for a, e in zip(episode.actions, episode.empirical)]
+    actions, rewards = env.episode_rewards(policy.act(env.episode_states))
     if trace_path is not None:
-        write_trace(episode, trace_path)
+        write_trace(env, actions, rewards, trace_path)
     report = MetricsReport(
-        mae=mae(pairs),
-        rmse=rmse(pairs),
-        cosine_similarity=cosine_similarity(pairs),
-        kl_divergence=kl_divergence(pairs),
-        n_quarters=len(pairs),
+        mae=mae(actions, env.empirical),
+        rmse=rmse(actions, env.empirical),
+        cosine_similarity=cosine_similarity(actions, env.empirical),
+        kl_divergence=kl_divergence(actions, env.empirical),
+        n_quarters=len(actions),
     )
-    return report, pairs
+    return report, actions

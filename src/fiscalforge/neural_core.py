@@ -18,13 +18,13 @@ writes the flat parameter gradient into one preallocated array, and
 output and its gradient (the TD3 updates) run the forward pass once and
 hand its cache to ``_backward``. The flat layout's slices are computed
 once per ``MlpSpec``. A single input is a batch of one; the only
-per-row entry point is ``forward_actor``, the greedy action of a state.
+per-row entry point is ``forward_actor``, training's exploration action.
 
 ``forward_population`` is the greedy action of many actors on many
-states at once, the GA's fitness forward pass. It stacks one matmul per
-layer whose every row is the same (1, d) @ (d, k) product, on the same
-transposed weight view, that ``forward_actor`` computes, so each action
-is bit-identical to a ``forward_actor`` call.
+states at once: GA fitness and, as ``ActorPolicy.act``, evaluation. It
+stacks one matmul per layer whose every row is the same (1, d) @ (d, k)
+product, on the same transposed weight view, that ``forward_actor``
+computes, so each action is bit-identical to a ``forward_actor`` call.
 """
 
 import json
@@ -267,8 +267,9 @@ class ActorPolicy:
     spec: MlpSpec
     params: np.ndarray
 
-    def act(self, state: np.ndarray) -> np.ndarray:
-        return forward_actor(self.params, self.spec, state)
+    def act(self, states: np.ndarray) -> np.ndarray:
+        """Greedy allocation of each row of a (T, input_dim) stack of states."""
+        return forward_population(self.params[None], self.spec, states)[0]
 
 
 # -- checkpoint persistence --------------------------------------------------

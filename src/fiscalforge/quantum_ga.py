@@ -18,7 +18,8 @@ the state of step t is quarter t whatever the actions, so
 evaluate_population scores every unscored row at once: one
 forward_population call gives all their actions and
 BudgetEnv.episode_totals all their totals, each bit-identical to the sum
-of a step-by-step rollout. evaluate_fitness is its one-genome case.
+of step()'s rewards for the same actions. evaluate_fitness is its
+one-genome case.
 
 The best individual ever seen is carried forward unmodified each
 generation, so the best fitness can never regress below the input

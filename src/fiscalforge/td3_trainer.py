@@ -160,17 +160,11 @@ def smoothed_target_actions(
 ) -> np.ndarray:
     """Target-actor outputs plus clipped Gaussian noise, back on the simplex.
 
-    One noise draw per row; a row whose clamped sum is zero becomes
-    uniform, as in clip_to_simplex.
+    One noise draw per row; each row is projected by clip_to_simplex.
     """
     a = forward_batch(params, spec, next_states)
     noise = np.clip(rng.normal(0.0, sigma, size=a.shape), -clip, clip)
-    out = np.clip(a + noise, 0.0, 1.0)
-    sums = out.sum(axis=1, keepdims=True)
-    degenerate = sums[:, 0] <= 0.0
-    out[degenerate] = 0.5
-    sums[degenerate] = 1.0
-    return out / sums
+    return clip_to_simplex(a + noise)
 
 
 def compute_targets(

@@ -19,7 +19,6 @@ from fiscalforge.cli import main
 from fiscalforge.data_ingest import chrono_split, fit_scaler, load_series
 from fiscalforge.environment import BeliefConfig, BudgetEnv, RewardConfig
 from fiscalforge.evaluation import (
-    AllocationPair,
     cosine_similarity,
     evaluate_policy,
     kl_divergence,
@@ -144,8 +143,8 @@ def test_criterion_3_environment_algebra():
 
 
 class _UniformPolicy:
-    def act(self, state):
-        return np.array([0.5, 0.5])
+    def act(self, states):
+        return np.full((len(states), 2), 0.5)
 
 
 def test_criterion_4_td3_learning_progress():
@@ -219,27 +218,29 @@ def test_criterion_6_quantum_mutation_statistics():
 def test_criterion_7_metric_fixtures():
     """Worked metric examples at 1e-6; the oracle policy scores perfectly."""
 
-    def pair(p, a):
-        return AllocationPair(np.array(p, float), np.array(a, float))
+    def pairs(*rows):
+        """(predicted, actual) (T, 2) arrays from (predicted, actual) row pairs."""
+        stacked = np.array(rows, float)
+        return stacked[:, 0], stacked[:, 1]
 
-    assert mae([pair([0.6, 0.4], [0.5, 0.5])]) == pytest.approx(0.1, abs=1e-6)
-    assert mae([pair([0.6, 0.4], [0.5, 0.5]), pair([0.8, 0.2], [0.5, 0.5])]) == (
+    assert mae(*pairs(([0.6, 0.4], [0.5, 0.5]))) == pytest.approx(0.1, abs=1e-6)
+    assert mae(*pairs(([0.6, 0.4], [0.5, 0.5]), ([0.8, 0.2], [0.5, 0.5]))) == (
         pytest.approx(0.2, abs=1e-6)
     )
-    assert rmse([pair([0.6, 0.4], [0.5, 0.5])]) == pytest.approx(0.1, abs=1e-6)
-    assert rmse([pair([0.6, 0.7], [0.5, 0.4])]) == pytest.approx(
+    assert rmse(*pairs(([0.6, 0.4], [0.5, 0.5]))) == pytest.approx(0.1, abs=1e-6)
+    assert rmse(*pairs(([0.6, 0.7], [0.5, 0.4]))) == pytest.approx(
         math.sqrt(0.05), abs=1e-6
     )
-    assert cosine_similarity([pair([0.6, 0.4], [0.5, 0.5])]) == pytest.approx(
+    assert cosine_similarity(*pairs(([0.6, 0.4], [0.5, 0.5]))) == pytest.approx(
         0.9805806756909202, abs=1e-6
     )
-    assert cosine_similarity([pair([1.0, 0.0], [0.0, 1.0])]) == pytest.approx(
+    assert cosine_similarity(*pairs(([1.0, 0.0], [0.0, 1.0]))) == pytest.approx(
         0.0, abs=1e-6
     )
-    assert kl_divergence([pair([0.5, 0.5], [0.75, 0.25])]) == pytest.approx(
+    assert kl_divergence(*pairs(([0.5, 0.5], [0.75, 0.25]))) == pytest.approx(
         0.130812, abs=1e-6
     )
-    assert kl_divergence([pair([1.0, 0.0], [1.0, 0.0])]) == 0.0
+    assert kl_divergence(*pairs(([1.0, 0.0], [1.0, 0.0]))) == 0.0
 
     from fiscalforge.environment import empirical_allocation
     from conftest import make_series
@@ -248,12 +249,8 @@ def test_criterion_7_metric_fixtures():
     scaler = fit_scaler(series)
 
     class Oracle:
-        calls = 0
-
-        def act(self, state):
-            allocation = empirical_allocation(series, self.calls)
-            Oracle.calls += 1
-            return allocation
+        def act(self, states):
+            return np.array([empirical_allocation(series, t) for t in range(len(states))])
 
     report, _ = evaluate_policy(Oracle(), BudgetEnv(series, scaler))
     assert report.mae <= 1e-12

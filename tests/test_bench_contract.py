@@ -16,8 +16,6 @@ import sys
 
 import pytest
 
-from fiscalforge.data_ingest import chrono_split, load_series
-
 from conftest import FIXTURE_CSV, REPO_ROOT
 
 PERFBENCH = REPO_ROOT / "perfbench"
@@ -92,13 +90,14 @@ def test_traced_child_run_counts(tmp_path):
     # One CSV parse and one env per split, however many stages read them.
     assert counts["data_ingest.load_series.calls"] == 1
     assert counts["environment.build.calls"] == 2
-    # The GA scores its populations without evaluate_fitness or step():
-    # only the summary's pre- and post-refinement scores call the one, and
-    # only training and the two held-out rollouts call the other.
+    # The GA and held-out evaluation score whole episodes from the env
+    # tables: only the summary's pre- and post-refinement fitness call
+    # evaluate_fitness, and only training steps the env and calls
+    # forward_actor, once per step past warmup for its exploration action.
     assert counts["quantum_ga.evaluate_fitness.calls"] == 2
-    data = TINY_CONFIG["data"]
-    _, test_part = chrono_split(load_series(data["path"]), data["train_fraction"])
-    assert counts["environment.step.calls"] == (
-        TINY_CONFIG["td3"]["total_timesteps"] + 2 * (len(test_part) - 1)
+    td3 = TINY_CONFIG["td3"]
+    assert counts["environment.step.calls"] == td3["total_timesteps"]
+    assert counts["neural_core.forward_actor.calls"] == (
+        td3["total_timesteps"] - td3["warmup_steps"]
     )
     assert spans.read_text().count("\n") == counts["trace.spans"]

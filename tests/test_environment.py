@@ -1,6 +1,7 @@
 """Decision-process algebra: rewards, belief evolution, episode framing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -100,6 +101,25 @@ class TestActionValidation:
         np.testing.assert_allclose(clip_to_simplex(np.array([-1.0, -2.0])), [0.5, 0.5])
         out = clip_to_simplex(np.array([0.9, 0.3]))
         assert abs(out.sum() - 1.0) <= 1e-12
+        # NaN is not a zero sum: it reaches the caller's finiteness checks.
+        assert np.all(np.isnan(clip_to_simplex(np.array([np.nan, 0.5]))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.sampled_from([(1,), (5,), (2, 3), (3, 1, 2)]), data=st.data())
+    def test_clip_to_simplex_rowwise(self, shape, data):
+        """Rows land on the simplex, each as it would when projected on its own.
+
+        A row with no positive value clamps to zero and becomes uniform.
+        """
+        n = math.prod(shape)
+        values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n, max_size=2 * n))
+        stack = np.array(values).reshape(*shape, 2)
+        out = clip_to_simplex(stack)
+        one_by_one = np.array([clip_to_simplex(row) for row in stack.reshape(-1, 2)])
+        assert out.shape == stack.shape
+        assert out.reshape(-1, 2).tobytes() == one_by_one.tobytes()
+        assert np.all(out >= 0.0)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestReset:
@@ -285,9 +305,10 @@ class TestTrace:
             np.testing.assert_allclose(env.alpha, exp["alpha"], atol=1e-9)
 
     def test_trace_records_written_as_jsonl(self, tmp_path):
-        episode = _env(BASIC_ROWS).rollout(lambda state: np.array([0.6, 0.4]))
+        env = _env(BASIC_ROWS)
+        actions, rewards = env.episode_rewards(np.tile([0.6, 0.4], (len(BASIC_ROWS) - 1, 1)))
         path = tmp_path / "trace.jsonl"
-        write_trace(episode, path)
+        write_trace(env, actions, rewards, path)
         lines = path.read_text().splitlines()
         assert len(lines) == len(BASIC_ROWS) - 1
         record = json.loads(lines[0])

@@ -1,4 +1,4 @@
-"""Metric definitions and the held-out scoring rollout."""
+"""Metric definitions and held-out scoring."""
 
 import math
 
@@ -9,7 +9,6 @@ from fiscalforge.data_ingest import fit_scaler
 from fiscalforge.environment import BudgetEnv, empirical_allocation
 from fiscalforge.errors import DataError, DomainError
 from fiscalforge.evaluation import (
-    AllocationPair,
     cosine_similarity,
     evaluate_policy,
     kl_divergence,
@@ -20,97 +19,100 @@ from fiscalforge.evaluation import (
 from conftest import make_series
 
 
-def _pair(p, a):
-    return AllocationPair(np.array(p, dtype=float), np.array(a, dtype=float))
+def _arrays(*pairs):
+    """(predicted, actual) (T, 2) arrays from (predicted row, actual row) pairs."""
+    stacked = np.array(pairs, dtype=float)
+    return stacked[:, 0], stacked[:, 1]
 
 
-IDENTICAL = [_pair([0.7, 0.3], [0.7, 0.3])]
+def _random_pairs(rng, n):
+    return _arrays(*[(rng.dirichlet([1, 1]), rng.dirichlet([1, 1])) for _ in range(n)])
+
+
+IDENTICAL = _arrays(([0.7, 0.3], [0.7, 0.3]))
+EMPTY = (np.empty((0, 2)), np.empty((0, 2)))
 
 
 class TestMae:
     def test_identical_is_zero(self):
-        assert mae(IDENTICAL) == 0.0
+        assert mae(*IDENTICAL) == 0.0
 
     def test_direct_arithmetic(self):
-        assert mae([_pair([0.6, 0.4], [0.5, 0.5])]) == pytest.approx(0.1, abs=1e-15)
+        assert mae(*_arrays(([0.6, 0.4], [0.5, 0.5]))) == pytest.approx(0.1, abs=1e-15)
 
     def test_flattened_average(self):
-        pairs = [_pair([0.6, 0.4], [0.5, 0.5]), _pair([0.8, 0.2], [0.5, 0.5])]
-        assert mae(pairs) == pytest.approx(0.2, abs=1e-15)
+        pairs = _arrays(([0.6, 0.4], [0.5, 0.5]), ([0.8, 0.2], [0.5, 0.5]))
+        assert mae(*pairs) == pytest.approx(0.2, abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            mae([])
+            mae(*EMPTY)
 
 
 class TestRmse:
     def test_identical_is_zero(self):
-        assert rmse(IDENTICAL) == 0.0
+        assert rmse(*IDENTICAL) == 0.0
 
     def test_equal_residuals(self):
-        assert rmse([_pair([0.6, 0.4], [0.5, 0.5])]) == pytest.approx(0.1, abs=1e-15)
+        assert rmse(*_arrays(([0.6, 0.4], [0.5, 0.5]))) == pytest.approx(0.1, abs=1e-15)
 
     def test_mixed_residuals(self):
         """Residuals {0.1, 0.3} -> sqrt(0.05)."""
-        pairs = [_pair([0.6, 0.7], [0.5, 0.4])]
-        assert rmse(pairs) == pytest.approx(math.sqrt(0.05), abs=1e-12)
+        pairs = _arrays(([0.6, 0.7], [0.5, 0.4]))
+        assert rmse(*pairs) == pytest.approx(math.sqrt(0.05), abs=1e-12)
 
     def test_dominates_mae_on_flattened_residuals(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            pairs = [
-                _pair(rng.dirichlet([1, 1]), rng.dirichlet([1, 1])) for _ in range(5)
-            ]
-            assert rmse(pairs) >= mae(pairs) - 1e-15
+            pairs = _random_pairs(rng, 5)
+            assert rmse(*pairs) >= mae(*pairs) - 1e-15
 
     def test_equals_mae_when_errors_equal_magnitude(self):
-        pairs = [_pair([0.6, 0.4], [0.5, 0.5]), _pair([0.4, 0.6], [0.5, 0.5])]
-        assert rmse(pairs) == pytest.approx(mae(pairs), abs=1e-15)
+        pairs = _arrays(([0.6, 0.4], [0.5, 0.5]), ([0.4, 0.6], [0.5, 0.5]))
+        assert rmse(*pairs) == pytest.approx(mae(*pairs), abs=1e-15)
 
 
 class TestCosineSimilarity:
     def test_identical_is_one(self):
-        assert cosine_similarity(IDENTICAL) == pytest.approx(1.0, abs=1e-12)
+        assert cosine_similarity(*IDENTICAL) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_is_zero(self):
-        assert cosine_similarity([_pair([1.0, 0.0], [0.0, 1.0])]) == pytest.approx(
+        assert cosine_similarity(*_arrays(([1.0, 0.0], [0.0, 1.0]))) == pytest.approx(
             0.0, abs=1e-15
         )
 
     def test_hand_value(self):
         """[0.6,0.4] vs [0.5,0.5]: 0.5 / (sqrt(0.52) * sqrt(0.5))."""
         expected = 0.5 / (math.sqrt(0.52) * math.sqrt(0.5))
-        got = cosine_similarity([_pair([0.6, 0.4], [0.5, 0.5])])
+        got = cosine_similarity(*_arrays(([0.6, 0.4], [0.5, 0.5])))
         assert got == pytest.approx(expected, abs=1e-6)
         assert got == pytest.approx(0.9805806756909202, abs=1e-12)
 
     def test_simplex_pairs_land_in_unit_interval(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            value = cosine_similarity(
-                [_pair(rng.dirichlet([1, 1]), rng.dirichlet([1, 1]))]
-            )
+            value = cosine_similarity(*_random_pairs(rng, 1))
             assert 0.0 < value <= 1.0 + 1e-12
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
-            cosine_similarity([_pair([0.0, 0.0], [0.5, 0.5])])
+            cosine_similarity(*_arrays(([0.0, 0.0], [0.5, 0.5])))
 
 
 class TestKlDivergence:
     def test_identical_is_zero(self):
-        assert kl_divergence(IDENTICAL) == 0.0
+        assert kl_divergence(*IDENTICAL) == 0.0
 
     def test_hand_value(self):
         """actual [0.75,0.25] vs predicted [0.5,0.5]."""
         expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
-        got = kl_divergence([_pair([0.5, 0.5], [0.75, 0.25])])
+        got = kl_divergence(*_arrays(([0.5, 0.5], [0.75, 0.25])))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.130812, abs=1e-6)
 
     def test_zero_mass_convention(self):
         """actual [1,0] vs predicted [1,0]: the zero component contributes 0."""
-        assert kl_divergence([_pair([1.0, 0.0], [1.0, 0.0])]) == 0.0
+        assert kl_divergence(*_arrays(([1.0, 0.0], [1.0, 0.0]))) == 0.0
 
     def test_positive_for_differing_full_support(self):
         rng = np.random.default_rng(2)
@@ -119,22 +121,24 @@ class TestKlDivergence:
             predicted = rng.dirichlet([2, 2])
             if np.allclose(actual, predicted):
                 continue
-            assert kl_divergence([_pair(predicted, actual)]) > 0.0
+            assert kl_divergence(*_arrays((predicted, actual))) > 0.0
 
     def test_reference_is_actual(self):
         """Direction check: mass the prediction misses is penalized."""
-        sharp_actual = _pair([0.5, 0.5], [0.99, 0.01])
-        sharp_pred = _pair([0.99, 0.01], [0.5, 0.5])
-        assert kl_divergence([sharp_actual]) != kl_divergence([sharp_pred])
+        sharp_actual = _arrays(([0.5, 0.5], [0.99, 0.01]))
+        sharp_pred = _arrays(([0.99, 0.01], [0.5, 0.5]))
+        assert kl_divergence(*sharp_actual) != kl_divergence(*sharp_pred)
 
 
 class TestPermutationInvariance:
     def test_all_metrics(self):
         rng = np.random.default_rng(3)
-        pairs = [_pair(rng.dirichlet([1, 1]), rng.dirichlet([1, 1])) for _ in range(6)]
+        pairs = [(rng.dirichlet([1, 1]), rng.dirichlet([1, 1])) for _ in range(6)]
         shuffled = [pairs[i] for i in [3, 0, 5, 1, 4, 2]]
         for metric in (mae, rmse, cosine_similarity, kl_divergence):
-            assert metric(pairs) == pytest.approx(metric(shuffled), abs=1e-15)
+            assert metric(*_arrays(*pairs)) == pytest.approx(
+                metric(*_arrays(*shuffled)), abs=1e-15
+            )
 
 
 FIXTURE_ROWS = [(10, 30, 1), (30, 10, 2), (20, 20, 3), (25, 15, 4), (15, 25, 5), (30, 30, 6)]
@@ -145,17 +149,14 @@ class _OraclePolicy:
 
     def __init__(self, series):
         self.series = series
-        self.calls = 0
 
-    def act(self, state):
-        allocation = empirical_allocation(self.series, self.calls)
-        self.calls += 1
-        return allocation
+    def act(self, states):
+        return np.array([empirical_allocation(self.series, t) for t in range(len(states))])
 
 
 class _UniformPolicy:
-    def act(self, state):
-        return np.array([0.5, 0.5])
+    def act(self, states):
+        return np.full((len(states), 2), 0.5)
 
 
 class TestEvaluatePolicy:
@@ -165,11 +166,11 @@ class TestEvaluatePolicy:
 
     def test_oracle_policy_scores_perfectly(self):
         series, scaler = self._setup()
-        report, pairs = evaluate_policy(_OraclePolicy(series), BudgetEnv(series, scaler))
+        report, actions = evaluate_policy(_OraclePolicy(series), BudgetEnv(series, scaler))
         assert report.mae <= 1e-12
         assert abs(report.cosine_similarity - 1.0) <= 1e-12
         assert report.kl_divergence <= 1e-12
-        assert len(pairs) == len(series) - 1
+        assert len(actions) == len(series) - 1
 
     def test_quarter_count(self):
         series, scaler = self._setup()

@@ -268,9 +268,10 @@ class TestActorPolicy:
     def test_act_matches_forward(self):
         spec = MlpSpec(3, (4,), 2, "simplex")
         params = init_params(spec, 12)
-        state = np.array([0.1, 0.2, 0.3])
+        states = np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.9], [0.5, 0.5, -0.2]])
         np.testing.assert_array_equal(
-            ActorPolicy(spec, params).act(state), forward_actor(params, spec, state)
+            ActorPolicy(spec, params).act(states),
+            [forward_actor(params, spec, state) for state in states],
         )
 
 

