@@ -10,21 +10,21 @@ losslessly.
 Hidden activations are tanh. Everything is float64 and pure: forward
 and backward are functions of (params, input) only.
 
-One forward kernel, ``_forward_cached``, serves every caller. It keeps
-each layer's weight view, input and output in its cache, so a gradient
-never repeats the forward pass: ``_backward`` runs from that cache and
-writes the flat parameter gradient into one preallocated array, and
-``vjp_batch`` is just the two composed. Callers that need both the
-output and its gradient (the TD3 updates) run the forward pass once and
-hand its cache to ``_backward``. The flat layout's slices are computed
-once per ``MlpSpec``. A single input is a batch of one; the only
-per-row entry point is ``forward_actor``, training's exploration action.
+One forward kernel, ``_forward_cached``, serves every caller. It takes
+a (..., P) stack of parameter vectors (one vector, the (2, P) twin
+critics, the (N, 1, P) GA population), and each network of a stack
+makes the BLAS calls it would make alone, so its rows are bit-identical
+to separate passes. Its cache keeps each layer's weight view, input and
+output, so a gradient never repeats the forward pass: ``_backward``
+runs from that cache and writes the flat (..., P) parameter gradient
+into one preallocated array, and ``vjp_batch`` is just the two
+composed. A single input is a batch of one; the only per-row entry
+point is ``forward_actor``, training's exploration action.
 
-``forward_population`` is the greedy action of many actors on many
-states at once: GA fitness and, as ``ActorPolicy.act``, evaluation. It
-stacks one matmul per layer whose every row is the same (1, d) @ (d, k)
-product, on the same transposed weight view, that ``forward_actor``
-computes, so each action is bit-identical to a ``forward_actor`` call.
+``forward_population``, the greedy action of many actors on many states
+(GA fitness and ``ActorPolicy.act``), passes each state as a batch of
+one, so action [i, t] equals ``forward_actor(genomes[i], spec,
+states[t])`` bit for bit.
 """
 
 import json
@@ -108,14 +108,13 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
 
 
 def unflatten(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flat vector -> [(W, b)] views, read-only by convention."""
+    """(..., P) stack -> [(W (..., out, in), b (..., out))] views, read-only by convention."""
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1 or params.size != spec.param_count():
-        raise ShapeError(
-            f"parameter vector of length {params.size} does not match "
-            f"spec count {spec.param_count()}"
-        )
-    return [(params[w].reshape(shape), params[b]) for w, b, shape in spec._layout]
+    if params.ndim < 1 or params.shape[-1] != spec.param_count():
+        raise ShapeError(f"parameter shape {params.shape} does not end in {spec.param_count()}")
+    lead = params.shape[:-1]
+    return [(params[..., w].reshape(*lead, *shape), params[..., b])
+            for w, b, shape in spec._layout]
 
 
 def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -128,28 +127,30 @@ def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 
 
 def _forward_cached(params, spec, x):
-    """Batched forward pass; returns (output, cache).
+    """Batched forward pass of a (..., P) parameter stack; returns (output, cache).
 
-    The cache holds (weight view, layer input, layer output) per layer,
+    Each (..., n, input_dim) input row gives a (..., n, output_dim)
+    output row per network of the stack, broadcasting leading axes. The
+    cache holds (weight view, layer input, layer output) per layer,
     input to output: all that _backward needs.
     """
     layers = unflatten(params, spec)
     cache = []
     a = x
     for w, b in layers[:-1]:
-        h = a @ w.T
-        h += b
+        h = a @ w.swapaxes(-1, -2)
+        h += b[..., None, :]
         np.tanh(h, out=h)
         cache.append((w, a, h))
         a = h
     w, b = layers[-1]
-    y = a @ w.T
-    y += b
+    y = a @ w.swapaxes(-1, -2)
+    y += b[..., None, :]
     if spec.output_head == SIMPLEX:
         # Row-wise normalized exponential, shifted by the row maximum.
-        y -= y.max(axis=1, keepdims=True)
+        y -= y.max(axis=-1, keepdims=True)
         np.exp(y, out=y)
-        y /= y.sum(axis=1, keepdims=True)
+        y /= y.sum(axis=-1, keepdims=True)
     cache.append((w, a, y))
     return y, cache
 
@@ -157,16 +158,16 @@ def _forward_cached(params, spec, x):
 def _backward(spec, cache, upstream):
     """Vector-Jacobian product from a _forward_cached cache.
 
-    upstream is d(objective)/d(output), shape (batch, output_dim).
-    Returns (flat parameter gradient, gradient w.r.t. the input rows).
+    upstream is d(objective)/d(output), shape (..., batch, output_dim).
+    Returns (flat (..., P) parameter gradient, gradient w.r.t. the input rows).
     """
-    grad = np.empty(spec.param_count())
+    grad = np.empty((*cache[-1][0].shape[:-2], spec.param_count()))
     g_prev = None
-    for (w, a_in, out), (w_slice, b_slice, shape) in zip(cache[::-1], spec._layout[::-1]):
+    for (w, a_in, out), (g_w, g_b) in zip(cache[::-1], unflatten(grad, spec)[::-1]):
         if g_prev is None:
             if spec.output_head == SIMPLEX:
                 # Through the normalized-exponential head: dz = y * (u - <u, y>).
-                g = out * (upstream - (upstream * out).sum(axis=1, keepdims=True))
+                g = out * (upstream - (upstream * out).sum(axis=-1, keepdims=True))
             else:
                 g = upstream
         else:
@@ -174,8 +175,8 @@ def _backward(spec, cache, upstream):
             g = out * out
             np.subtract(1.0, g, out=g)
             np.multiply(g_prev, g, out=g)
-        np.matmul(g.T, a_in, out=grad[w_slice].reshape(shape))
-        np.add.reduce(g, axis=0, out=grad[b_slice])
+        np.matmul(g.swapaxes(-1, -2), a_in, out=g_w)
+        np.add.reduce(g, axis=-2, out=g_b)
         g_prev = g @ w
     return grad, g_prev
 
@@ -188,8 +189,16 @@ def _as_batch(spec: MlpSpec, x) -> np.ndarray:
     return x
 
 
+def _as_vector(spec: MlpSpec, params) -> np.ndarray:
+    """params as one float64 network of spec, not a stack, or ShapeError."""
+    params = np.asarray(params, dtype=np.float64)
+    if params.shape != (spec.param_count(),):
+        raise ShapeError(f"expected parameter shape ({spec.param_count()},), got {params.shape}")
+    return params
+
+
 def forward_batch(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Forward over a (batch, input_dim) matrix."""
+    """Forward of a (..., P) parameter stack over a (batch, input_dim) matrix."""
     return _forward_cached(params, spec, _as_batch(spec, x))[0]
 
 
@@ -197,7 +206,8 @@ def forward_actor(params: np.ndarray, spec: MlpSpec, state: np.ndarray) -> np.nd
     """Simplex-head forward pass for one state; output sums to 1."""
     if spec.output_head != SIMPLEX:
         raise ContractError("forward_actor requires a simplex output head")
-    y = forward_batch(params, spec, np.asarray(state, dtype=np.float64)[None, :])[0]
+    y = forward_batch(_as_vector(spec, params), spec,
+                      np.asarray(state, dtype=np.float64)[None, :])[0]
     if not np.all(np.isfinite(y)):
         raise NumericError("actor produced a non-finite allocation")
     return y
@@ -206,9 +216,8 @@ def forward_actor(params: np.ndarray, spec: MlpSpec, state: np.ndarray) -> np.nd
 def forward_population(genomes: np.ndarray, spec: MlpSpec, states: np.ndarray) -> np.ndarray:
     """Simplex-head forward pass of every genome row on every state: (N, T, output_dim).
 
-    Each layer is one matmul of (N, T, 1, d) inputs with (N, 1, d, k)
-    weights, each genome's weights the transposed C-order view that
-    unflatten gives; every row is thus the (1, d) @ (d, k) BLAS call of
+    The (N, 1, P) genome stack meets the states as (T, 1, input_dim)
+    batches of one row, so every row is the (1, d) @ (d, k) BLAS call of
     forward_actor, and action [i, t] equals forward_actor(genomes[i],
     spec, states[t]) bit for bit.
     """
@@ -219,23 +228,7 @@ def forward_population(genomes: np.ndarray, spec: MlpSpec, states: np.ndarray) -
         raise ShapeError(
             f"expected genomes of shape (n, {spec.param_count()}), got {genomes.shape}"
         )
-    n = len(genomes)
-    layers = [
-        (genomes[:, w].reshape(n, *shape).transpose(0, 2, 1)[:, None], genomes[:, None, None, b])
-        for w, b, shape in spec._layout
-    ]
-    a = _as_batch(spec, states)[None, :, None, :]
-    for w, b in layers[:-1]:
-        h = a @ w
-        h += b
-        np.tanh(h, out=h)
-        a = h
-    w, b = layers[-1]
-    y = a @ w
-    y += b
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y = _forward_cached(genomes[:, None], spec, _as_batch(spec, states)[:, None, :])[0]
     if not np.all(np.isfinite(y)):
         raise NumericError("actor produced a non-finite allocation")
     return y[:, :, 0]
@@ -280,9 +273,7 @@ _HEAD_NAMES = {v: k for k, v in _HEAD_CODES.items()}
 
 def save_checkpoint(path: str | Path, spec: MlpSpec, params: np.ndarray) -> None:
     """Binary little-endian checkpoint: dims header + flat float64 params."""
-    params = np.asarray(params, dtype=np.float64)
-    if params.size != spec.param_count():
-        raise ShapeError("parameter vector does not match spec")
+    params = _as_vector(spec, params)
     header = struct.pack(
         f"<4sIBII{len(spec.hidden_dims)}IIQ",
         _CKPT_MAGIC,
@@ -334,6 +325,6 @@ def export_json(path: str | Path, spec: MlpSpec, params: np.ndarray) -> None:
         "hidden_dims": list(spec.hidden_dims),
         "output_dim": spec.output_dim,
         "output_head": spec.output_head,
-        "params": [float(v) for v in np.asarray(params, dtype=np.float64)],
+        "params": [float(v) for v in _as_vector(spec, params)],
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -8,19 +8,20 @@ target copies of all three networks. Exploration is Gaussian noise on
 the actor output, re-projected onto the allocation simplex; the warmup
 phase fills the buffer with uniform-random allocations.
 
-An update runs each network forward exactly once: the target actor and
-both target critics for the regression targets, each online critic for
-its loss, and, on actor steps, the actor and critic 1 for the policy
-gradient. Every gradient is taken from the cache of that one pass. The
-replay buffer is a preallocated struct-of-arrays ring, so a minibatch is
-one index gather per field.
+The twin critics and their targets are each one (2, P) stack. An update
+runs one forward pass per network, the twin critics as one stacked
+pass: the target actor and the target critics for the regression
+targets, the online critics for their loss, and, on actor steps, the
+actor and critic 1 for the policy gradient. Every gradient is taken
+from the cache of that one pass. The replay buffer is a preallocated
+struct-of-arrays ring, so a minibatch is one index gather per field.
 
 Updates are plain gradient steps so every operation here stays a pure
 function of its arguments; training as a whole is a deterministic
 function of (environment, config) including the seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,8 +147,8 @@ class TrainedPolicy(ActorPolicy):
     """Actor policy plus its per-episode rewards and the other trained networks."""
 
     episode_rewards: tuple[float, ...]
-    aux_params: dict[str, np.ndarray] = field(default_factory=dict)
-    critic_spec: MlpSpec | None = None
+    aux_params: dict[str, np.ndarray]
+    critic_spec: MlpSpec
 
 
 def smoothed_target_actions(
@@ -169,8 +170,7 @@ def smoothed_target_actions(
 
 def compute_targets(
     actor_target: np.ndarray,
-    critic1_target: np.ndarray,
-    critic2_target: np.ndarray,
+    critic_targets: np.ndarray,
     actor: MlpSpec,
     critic: MlpSpec,
     rewards: np.ndarray,
@@ -181,45 +181,39 @@ def compute_targets(
 ) -> np.ndarray:
     """Bootstrapped regression targets with the clipped double estimate.
 
-    r + gamma * min(Q1'(s', a'), Q2'(s', a')) at the smoothed target
-    action a', or r alone where the episode ended.
+    r + gamma * min_k Q_k'(s', a') over the (K, P) target-critic stack,
+    at the smoothed target action a', or r alone where the episode ended.
     """
     next_actions = smoothed_target_actions(
         actor_target, actor, next_states,
         config.target_noise_sigma, config.target_noise_clip, rng,
     )
     next_x = np.concatenate([next_states, next_actions], axis=1)
-    q1_next = forward_batch(critic1_target, critic, next_x)[:, 0]
-    q2_next = forward_batch(critic2_target, critic, next_x)[:, 0]
-    return np.where(dones, rewards, rewards + config.gamma * np.minimum(q1_next, q2_next))
+    q_next = forward_batch(critic_targets, critic, next_x)[..., 0].min(axis=0)
+    return np.where(dones, rewards, rewards + config.gamma * q_next)
 
 
 def critic_update(
-    critic_params: list[np.ndarray],
+    critics: np.ndarray,
     spec: MlpSpec,
     states: np.ndarray,
     actions: np.ndarray,
     targets: np.ndarray,
     learning_rate: float,
-) -> tuple[list[np.ndarray], float]:
-    """One mean-squared-error descent step per critic; returns mean loss."""
+) -> tuple[np.ndarray, float]:
+    """One mean-squared-error descent step per critic of a (K, P) stack; returns mean loss."""
     x = _as_batch(spec, np.concatenate([states, actions], axis=1))
     n = x.shape[0]
     if n == 0:
         raise ContractError("empty batch")
     y = np.asarray(targets, dtype=np.float64).reshape(n, 1)
-    updated = []
-    losses = []
-    for params in critic_params:
-        pred, cache = _forward_cached(params, spec, x)
-        err = pred - y
-        loss = float((err * err).mean())
-        if not np.isfinite(loss):
-            raise NumericError("critic loss diverged to a non-finite value")
-        grad, _ = _backward(spec, cache, 2.0 * err / n)
-        updated.append(params - learning_rate * grad)
-        losses.append(loss)
-    return updated, float(np.mean(losses))
+    pred, cache = _forward_cached(critics, spec, x)
+    err = pred - y
+    losses = (err * err).mean(axis=(-2, -1))
+    if not np.all(np.isfinite(losses)):
+        raise NumericError("critic loss diverged to a non-finite value")
+    grad, _ = _backward(spec, cache, 2.0 * err / n)
+    return critics - learning_rate * grad, float(losses.mean())
 
 
 def actor_update(
@@ -262,9 +256,8 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
     a_spec = actor_spec()
     c_spec = critic_spec()
     actor = init_params(a_spec, config.seed)
-    critic1 = init_params(c_spec, config.seed + 1)
-    critic2 = init_params(c_spec, config.seed + 2)
-    actor_t, critic1_t, critic2_t = actor.copy(), critic1.copy(), critic2.copy()
+    critics = np.stack([init_params(c_spec, config.seed + k) for k in (1, 2)])
+    actor_t, critics_t = actor.copy(), critics.copy()
     rng = np.random.default_rng(config.seed + 3)
 
     buffer = ReplayBuffer(config.buffer_capacity)
@@ -294,33 +287,27 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
 
         states, actions, rewards, next_states, dones = buffer.sample(config.batch_size, rng)
         targets = compute_targets(
-            actor_t, critic1_t, critic2_t, a_spec, c_spec,
-            rewards, next_states, dones, config, rng,
+            actor_t, critics_t, a_spec, c_spec, rewards, next_states, dones, config, rng,
         )
 
-        (critic1, critic2), _ = critic_update(
-            [critic1, critic2], c_spec, states, actions, targets, config.learning_rate
-        )
+        critics, _ = critic_update(critics, c_spec, states, actions, targets, config.learning_rate)
         n_critic_updates += 1
 
         if n_critic_updates % config.actor_delay == 0:
-            actor = actor_update(
-                actor, a_spec, critic1, c_spec, states, config.learning_rate
-            )
+            actor = actor_update(actor, a_spec, critics[0], c_spec, states, config.learning_rate)
             actor_t = soft_update(actor_t, actor, config.tau)
-            critic1_t = soft_update(critic1_t, critic1, config.tau)
-            critic2_t = soft_update(critic2_t, critic2, config.tau)
+            critics_t = soft_update(critics_t, critics, config.tau)
 
     return TrainedPolicy(
         spec=a_spec,
         params=actor,
         episode_rewards=tuple(episode_rewards),
         aux_params={
-            "critic1": critic1,
-            "critic2": critic2,
+            "critic1": critics[0],
+            "critic2": critics[1],
             "actor_target": actor_t,
-            "critic1_target": critic1_t,
-            "critic2_target": critic2_t,
+            "critic1_target": critics_t[0],
+            "critic2_target": critics_t[1],
         },
         critic_spec=c_spec,
     )

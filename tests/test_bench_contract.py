@@ -100,4 +100,8 @@ def test_traced_child_run_counts(tmp_path):
     assert counts["neural_core.forward_actor.calls"] == (
         td3["total_timesteps"] - td3["warmup_steps"]
     )
+    # One pass per network per update, the twin critics as one stacked
+    # pass: target actor, target critics and the online critics on every
+    # update, plus the actor and critic 1 on every second one.
+    assert counts["td3_trainer.forward_passes_per_update"] == 4.0
     assert spans.read_text().count("\n") == counts["trace.spans"]

@@ -11,6 +11,8 @@ from fiscalforge.errors import ArtifactError, ContractError, NumericError, Shape
 from fiscalforge.neural_core import (
     ActorPolicy,
     MlpSpec,
+    _backward,
+    _forward_cached,
     export_json,
     flatten,
     forward_actor,
@@ -275,6 +277,23 @@ class TestActorPolicy:
         )
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, params, tmp: forward_actor(params, spec, np.zeros(spec.input_dim)),
+        lambda spec, params, tmp: save_checkpoint(tmp / "net.ckpt", spec, params),
+        lambda spec, params, tmp: export_json(tmp / "net.json", spec, params),
+    ],
+    ids=["forward_actor", "save_checkpoint", "export_json"],
+)
+def test_one_network_entry_points_reject_a_stack(call, k, tmp_path):
+    spec = MlpSpec(3, (4,), 2, "simplex")
+    stack = np.stack([init_params(spec, seed) for seed in range(k)])
+    with pytest.raises(ShapeError):
+        call(spec, stack, tmp_path)
+
+
 _specs = st.builds(
     MlpSpec,
     input_dim=st.integers(1, 6),
@@ -335,3 +354,36 @@ class TestRoundTripProperties:
             load_checkpoint(path)
         except ArtifactError:
             pass
+
+
+class TestParameterStacks:
+    """A (K, P) stack through the kernel is K one-network passes, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=st.builds(
+            MlpSpec,
+            input_dim=st.integers(1, 6),
+            hidden_dims=st.lists(st.integers(1, 64), min_size=1, max_size=3).map(tuple),
+            output_dim=st.integers(1, 4),
+            output_head=st.sampled_from(["simplex", "linear"]),
+        ),
+        k=st.integers(1, 4),
+        n=st.sampled_from([1, 2, 17, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_equals_the_single_network(self, spec, k, n, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(0, 0.8, size=(k, spec.param_count()))
+        x = rng.normal(size=(n, spec.input_dim))
+        upstream = rng.normal(size=(k, n, spec.output_dim))
+        y, cache = _forward_cached(stack, spec, x)
+        grad, x_grad = _backward(spec, cache, upstream)
+        assert y.shape == (k, n, spec.output_dim)
+        assert grad.shape == stack.shape
+        for row in range(k):
+            y_row, cache_row = _forward_cached(stack[row], spec, x)
+            grad_row, x_grad_row = _backward(spec, cache_row, upstream[row])
+            np.testing.assert_array_equal(y[row], y_row)
+            np.testing.assert_array_equal(grad[row], grad_row)
+            np.testing.assert_array_equal(x_grad[row], x_grad_row)

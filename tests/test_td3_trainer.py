@@ -48,7 +48,7 @@ def _targets(rewards, dones, critic1, critic2, gamma=0.99, seed=0):
     n = rewards.size
     next_states = np.random.default_rng(seed + 100).normal(size=(n, 3))
     return compute_targets(
-        init_params(ACTOR_SPEC, 3), critic1, critic2, ACTOR_SPEC, CRITIC_SPEC,
+        init_params(ACTOR_SPEC, 3), np.stack([critic1, critic2]), ACTOR_SPEC, CRITIC_SPEC,
         rewards, next_states, np.broadcast_to(np.asarray(dones), (n,)),
         TD3Config(gamma=gamma), np.random.default_rng(seed),
     )
@@ -190,7 +190,9 @@ class TestCriticUpdate:
         states, actions = _batch(rng)
         x = np.concatenate([states, actions], axis=1)
         targets = forward_batch(params, CRITIC_SPEC, x)[:, 0]
-        (updated,), loss = critic_update([params], CRITIC_SPEC, states, actions, targets, 0.1)
+        (updated,), loss = critic_update(
+            params[None], CRITIC_SPEC, states, actions, targets, 0.1
+        )
         np.testing.assert_array_equal(updated, params)
         assert loss == 0.0
 
@@ -199,7 +201,7 @@ class TestCriticUpdate:
         params = init_params(CRITIC_SPEC, 3)
         states, actions = _batch(rng)
         (updated,), _ = critic_update(
-            [params], CRITIC_SPEC, states, actions, rng.normal(size=6), 0.0
+            params[None], CRITIC_SPEC, states, actions, rng.normal(size=6), 0.0
         )
         np.testing.assert_array_equal(updated, params)
 
@@ -209,10 +211,10 @@ class TestCriticUpdate:
         states, actions = _batch(rng, n=1)
         targets = np.array([-2.0])
         (updated,), loss_before = critic_update(
-            [params], CRITIC_SPEC, states, actions, targets, 0.05
+            params[None], CRITIC_SPEC, states, actions, targets, 0.05
         )
         _, loss_after = critic_update(
-            [updated], CRITIC_SPEC, states, actions, targets, 0.05
+            updated[None], CRITIC_SPEC, states, actions, targets, 0.05
         )
         assert loss_after < loss_before
 
@@ -221,11 +223,25 @@ class TestCriticUpdate:
         p1, p2 = init_params(CRITIC_SPEC, 6), init_params(CRITIC_SPEC, 7)
         states, actions = _batch(rng)
         (u1, u2), _ = critic_update(
-            [p1, p2], CRITIC_SPEC, states, actions, rng.normal(size=6), 0.01
+            np.stack([p1, p2]), CRITIC_SPEC, states, actions, rng.normal(size=6), 0.01
         )
         assert np.any(u1 != p1) and np.any(u2 != p2)
         assert np.any(u1 != u2)
 
+    def test_stack_matches_each_critic_alone(self):
+        """Each row of a stacked update, and the mean loss, as K one-critic updates."""
+        rng = np.random.default_rng(9)
+        critics = np.stack([init_params(CRITIC_SPEC, seed) for seed in (11, 12, 13)])
+        states, actions = _batch(rng, n=17)
+        targets = rng.normal(size=17)
+        updated, loss = critic_update(critics, CRITIC_SPEC, states, actions, targets, 0.01)
+        for row, row_updated in zip(critics, updated):
+            (alone,), _ = critic_update(row[None], CRITIC_SPEC, states, actions, targets, 0.01)
+            np.testing.assert_array_equal(row_updated, alone)
+        x = np.concatenate([states, actions], axis=1)
+        row_losses = [float(((forward_batch(row, CRITIC_SPEC, x) - targets[:, None]) ** 2).mean())
+                      for row in critics]
+        assert loss == np.mean(row_losses)
 
 
 class TestActorUpdate:
@@ -472,7 +488,7 @@ class TestNumericGuards:
     def test_non_finite_critic_loss(self):
         states, actions = _batch(np.random.default_rng(0))
         with pytest.raises(NumericError):
-            critic_update([init_params(CRITIC_SPEC, 1)], CRITIC_SPEC, states, actions,
+            critic_update(init_params(CRITIC_SPEC, 1)[None], CRITIC_SPEC, states, actions,
                           np.full(6, np.inf), 0.1)
 
     def test_non_finite_actor_gradient(self):
@@ -485,7 +501,7 @@ class TestNumericGuards:
     def test_update_input_shapes_checked(self):
         states, actions = _batch(np.random.default_rng(2))
         with pytest.raises(ShapeError):
-            critic_update([init_params(CRITIC_SPEC, 1)], CRITIC_SPEC, states[:, :2],
+            critic_update(init_params(CRITIC_SPEC, 1)[None], CRITIC_SPEC, states[:, :2],
                           actions, np.zeros(6), 0.1)
         with pytest.raises(ShapeError):
             actor_update(init_params(ACTOR_SPEC, 2), ACTOR_SPEC,
