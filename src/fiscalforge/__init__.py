@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .data_ingest import (  # noqa: F401
     FinancialSeries,
-    QuarterRecord,
     ScalerParams,
     chrono_split,
     fit_scaler,
@@ -20,8 +19,6 @@ from .environment import (  # noqa: F401
     BeliefConfig,
     BudgetEnv,
     RewardConfig,
-    empirical_allocation,
-    update_belief,
 )
 from .evaluation import MetricsReport, evaluate_policy  # noqa: F401
 from .neural_core import ActorPolicy, MlpSpec  # noqa: F401

@@ -5,23 +5,25 @@ row per quarter, periods written ``YYYY-Q[1-4]``, amounts in million
 USD. Rows with any empty field are dropped and counted; anything else
 malformed is an error.
 
-The scaler is fit on whatever series it is given and scales one value
-at a time (``ScalerParams.scale_value``). The pipeline fits it on the
-training split only and applies it to both splits, so test-split
-values may fall outside [0, 1]; they are deliberately not clipped.
+A series is its sorted period labels and one read-only (n, 3) float64
+array of [rnd, sga, net_income] rows. The scaler is fit on whatever
+series it is given and scales a whole array of such rows at once
+(``ScalerParams.scale``). The pipeline fits it on the training split
+only and applies it to both splits, so test-split values may fall
+outside [0, 1]; they are deliberately not clipped.
 """
 
 import csv
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+
+import numpy as np
 
 from .errors import DataError
 
 __all__ = [
-    "QuarterRecord",
     "FinancialSeries",
     "ScalerParams",
     "load_series",
@@ -43,33 +45,27 @@ def period_key(period: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-@dataclass(frozen=True)
-class QuarterRecord:
-    period: str
-    rnd: float
-    sga: float
-    net_income: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinancialSeries:
-    """Chronologically ordered quarter records.
+    """Chronologically ordered quarters: row i of ``values`` is ``periods[i]``.
 
-    ``dropped_rows`` counts rows discarded at load time because of
-    empty fields; derived series (the splits) carry 0.
+    ``values`` is a read-only (n, 3) float64 copy laid out
+    [rnd, sga, net_income]. ``dropped_rows`` counts rows discarded at
+    load time because of empty fields; derived series (the splits)
+    carry 0.
     """
 
-    records: tuple[QuarterRecord, ...]
-    dropped_rows: int = field(default=0, compare=False)
+    periods: tuple[str, ...]
+    values: np.ndarray
+    dropped_rows: int = 0
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=np.float64).reshape(len(self.periods), 3)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[QuarterRecord]:
-        return iter(self.records)
-
-    def __getitem__(self, idx: int) -> QuarterRecord:
-        return self.records[idx]
+        return len(self.periods)
 
 
 def load_series(path: str | Path) -> FinancialSeries:
@@ -91,8 +87,7 @@ def load_series(path: str | Path) -> FinancialSeries:
             f"{path}: expected header {','.join(EXPECTED_HEADER)}, got {','.join(header)}"
         )
 
-    records: list[QuarterRecord] = []
-    seen: set[str] = set()
+    valid: dict[str, tuple[float, float, float]] = {}
     dropped = 0
     for lineno, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -104,9 +99,8 @@ def load_series(path: str | Path) -> FinancialSeries:
             continue
         period = row[0].strip()
         period_key(period)
-        if period in seen:
+        if period in valid:
             raise DataError(f"{path}:{lineno}: duplicate period {period!r}")
-        seen.add(period)
         try:
             rnd, sga, net = (float(cell) for cell in row[1:])
         except ValueError as exc:
@@ -117,39 +111,37 @@ def load_series(path: str | Path) -> FinancialSeries:
             raise DataError(f"{path}:{lineno}: negative expense")
         if not 0 < rnd + sga < math.inf:
             raise DataError(f"{path}:{lineno}: rnd + sga must be positive and finite")
-        records.append(QuarterRecord(period, rnd, sga, net))
+        valid[period] = (rnd, sga, net)
 
-    if len(records) < MIN_ROWS:
+    if len(valid) < MIN_ROWS:
         raise DataError(
-            f"{path}: only {len(records)} valid rows, need at least {MIN_ROWS}"
+            f"{path}: only {len(valid)} valid rows, need at least {MIN_ROWS}"
         )
-    records.sort(key=lambda r: period_key(r.period))
-    return FinancialSeries(tuple(records), dropped_rows=dropped)
+    periods = tuple(sorted(valid, key=period_key))
+    return FinancialSeries(periods, [valid[p] for p in periods], dropped_rows=dropped)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalerParams:
-    """Per-feature min/max bounds, all guaranteed non-degenerate."""
+    """Per-feature (3,) min/max bounds, all guaranteed non-degenerate."""
 
-    bounds: dict[str, tuple[float, float]]
+    low: np.ndarray
+    high: np.ndarray
 
-    def scale_value(self, feature: str, value: float) -> float:
-        lo, hi = self.bounds[feature]
-        return (value - lo) / (hi - lo)
+    def scale(self, values: np.ndarray) -> np.ndarray:
+        """Min-max scale (..., 3) rows laid out as FinancialSeries.values."""
+        return (values - self.low) / (self.high - self.low)
 
 
 def fit_scaler(series: FinancialSeries) -> ScalerParams:
     """Compute per-feature extrema over the given (fit) segment."""
     if len(series) == 0:
         raise DataError("cannot fit a scaler on an empty series")
-    bounds: dict[str, tuple[float, float]] = {}
-    for feat in FEATURES:
-        values = [getattr(rec, feat) for rec in series]
-        lo, hi = min(values), max(values)
+    low, high = series.values.min(0), series.values.max(0)
+    for feat, lo, hi in zip(FEATURES, low.tolist(), high.tolist()):
         if hi <= lo:
             raise DataError(f"feature {feat!r} is constant ({lo}); cannot min-max scale")
-        bounds[feat] = (lo, hi)
-    return ScalerParams(bounds)
+    return ScalerParams(low, high)
 
 
 def chrono_split(
@@ -167,6 +159,6 @@ def chrono_split(
     if n_train >= n:
         raise DataError(f"train_fraction {train_fraction} leaves an empty test split")
     return (
-        FinancialSeries(series.records[:n_train]),
-        FinancialSeries(series.records[n_train:]),
+        FinancialSeries(series.periods[:n_train], series.values[:n_train]),
+        FinancialSeries(series.periods[n_train:], series.values[n_train:]),
     )

@@ -15,20 +15,20 @@ for exactly len(series) - 1 steps. An instance is single-threaded;
 independent instances over the same series may run in parallel.
 
 Nothing but the two action-dependent terms depends on the policy, so
-the constructor builds per-step tables once: the scaled states, the
-empirical shares, the belief vectors (by the same sequential
-update_belief loop) and the belief penalties. A series with a
-non-positive rnd + sga in any quarter after the first raises DataError
-there; a belief vector or penalty that is not finite (a prior or
-confidence near the float maximum) raises DomainError. step(), the
-path training takes, validates one action, computes the accuracy and
-smoothness terms and reads the rest from the tables. A greedy episode
-is open-loop (state t is the scaled quarter t, whatever the actions),
-so GA fitness, evaluation and trace.jsonl need no step loop:
-episode_rewards scores a stack of action sequences taken on
-episode_states with step()'s arithmetic, bit for bit. Each action
-sequence is validated exactly once: validate_action renormalizes, so a
-second pass could move the last ulp.
+the constructor builds per-step tables once, as array expressions over
+the series' (n, 3) values: the scaled states, the empirical shares,
+the belief vectors (a sequential running sum from the prior) and, in
+the one per-step loop, the belief penalties. A series with a
+non-positive rnd + sga in any quarter after the first raises DataError;
+a belief vector or penalty that is not finite (a prior or confidence
+near the float maximum) raises DomainError. One reward helper scores
+actions against the tables: step(), the path training takes, for one
+validated action, and episode_rewards for a stack of whole action
+sequences. A greedy episode is open-loop (state t is the scaled
+quarter t, whatever the actions), so GA fitness, evaluation and
+trace.jsonl need no step loop, and their terms equal step()'s bit for
+bit. Each action sequence is validated exactly once: validate_action
+renormalizes, so a second pass could move the last ulp.
 
 State vectors are float64 arrays laid out [rnd, sga, net_income] in
 scaled units; actions and empirical allocations are length-2 simplex
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_ingest import FinancialSeries, ScalerParams
-from .errors import ContractError, DataError, DomainError, SequenceError, ShapeError
+from .errors import ContractError, DataError, DomainError, SequenceError
 from .special_functions import dirichlet_kl
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "RewardBreakdown",
     "StepResult",
     "BudgetEnv",
-    "empirical_allocation",
-    "update_belief",
     "validate_action",
     "clip_to_simplex",
     "write_trace",
@@ -107,26 +105,6 @@ class StepResult:
     action: np.ndarray
 
 
-def empirical_allocation(series: FinancialSeries, t: int) -> np.ndarray:
-    """Realized [rnd, sga] spending shares of quarter t+1, from raw values."""
-    if t < 0 or t + 1 >= len(series):
-        raise ContractError(f"quarter index {t} has no successor in a series of {len(series)}")
-    rec = series[t + 1]
-    total = rec.rnd + rec.sga
-    if total <= 0:
-        raise DataError(f"quarter {rec.period}: rnd + sga is not positive")
-    return np.array([rec.rnd / total, rec.sga / total])
-
-
-def update_belief(alpha: np.ndarray, empirical: np.ndarray, confidence: float) -> np.ndarray:
-    """Conjugate evidence accumulation: alpha + confidence * empirical."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    empirical = np.asarray(empirical, dtype=np.float64)
-    if alpha.shape != empirical.shape:
-        raise ShapeError(f"belief shape {alpha.shape} vs evidence shape {empirical.shape}")
-    return alpha + confidence * empirical
-
-
 def validate_action(action: np.ndarray, tolerance: float = ACTION_TOLERANCE) -> np.ndarray:
     """Accept near-simplex action rows, renormalizing float drift only.
 
@@ -174,36 +152,30 @@ class BudgetEnv:
             raise DataError(f"need at least 2 quarters, got {len(series)}")
         self.reward_config = reward if reward is not None else RewardConfig()
         self.belief_config = belief if belief is not None else BeliefConfig()
-        self._states = np.array(
-            [
-                [
-                    scaler.scale_value("rnd", rec.rnd),
-                    scaler.scale_value("sga", rec.sga),
-                    scaler.scale_value("net_income", rec.net_income),
-                ]
-                for rec in series
-            ]
-        )
+        values = series.values
+        self._states = scaler.scale(values)
+        totals = values[1:, 0] + values[1:, 1]
+        bad = np.flatnonzero(~(totals > 0))
+        if bad.size:
+            raise DataError(f"quarter {series.periods[bad[0] + 1]}: rnd + sga is not positive")
+        # Read-only (T, 2) realized shares: action t is scored against row t.
+        self.empirical = values[1:, :2] / totals[:, None]
+        self.empirical.flags.writeable = False
         self._prior = np.array(self.belief_config.prior)
-        empirical, alphas, belief_terms = [], [], []
-        alpha = self._prior
-        for t in range(len(series) - 1):
-            shares = empirical_allocation(series, t)
-            alpha = update_belief(alpha, shares, self.belief_config.confidence)
+        # Row t is the belief after step t; an overflow to inf fails dirichlet_kl below.
+        with np.errstate(over="ignore"):
+            self._alphas = np.add.accumulate(
+                np.vstack([self._prior, self.belief_config.confidence * self.empirical])
+            )[1:]
+        self._belief_terms = np.empty(len(self._alphas))
+        for t, alpha in enumerate(self._alphas):
             try:
                 term = -self.reward_config.lambda2 * dirichlet_kl(alpha, self._prior)
             except OverflowError as exc:  # fsum of concentrations near the float maximum
                 raise DomainError(f"belief at step {t} overflows: {exc}") from exc
             if not math.isfinite(term):
                 raise DomainError(f"belief penalty at step {t} is not finite: {term}")
-            empirical.append(shares)
-            alphas.append(alpha)
-            belief_terms.append(term)
-        # Read-only (T, 2) realized shares: action t is scored against row t.
-        self.empirical = np.array(empirical)
-        self.empirical.flags.writeable = False
-        self._alphas = np.array(alphas)
-        self._belief_terms = belief_terms
+            self._belief_terms[t] = term
         self._t: int | None = None
         self._prev_action = UNIFORM_ACTION.copy()
 
@@ -230,15 +202,7 @@ class BudgetEnv:
             raise SequenceError("step() after the episode finished")
         a = validate_action(action)
         t = self._t
-        empirical = self.empirical[t]
-
-        accuracy = -float(np.abs(a - empirical).sum())
-        smoothness = -self.reward_config.lambda1 * float(
-            np.linalg.norm(a - self._prev_action)
-        )
-        belief = self._belief_terms[t]
-        reward = RewardBreakdown(accuracy, smoothness, belief, accuracy + smoothness + belief)
-
+        reward = self._rewards(a, self._prev_action, t)
         self._prev_action = a
         self._t = t + 1
         return StepResult(self._states[self._t].copy(), reward, self.done, a)
@@ -251,25 +215,32 @@ class BudgetEnv:
     def episode_rewards(self, actions: np.ndarray) -> tuple[np.ndarray, RewardBreakdown]:
         """Validated actions and per-step rewards of a (..., T, 2) stack of action sequences.
 
-        Action t of a sequence is the one taken at step t. The reward
-        terms are (..., T) arrays, each step()'s arithmetic on the same
-        values, the smoothness norm through the ddot that np.linalg.norm
-        calls; so every term equals, bit for bit, the one step() gives
-        when a reset env takes the same actions.
+        Action t of a sequence is the one taken at step t. The accuracy,
+        smoothness and total terms are (..., T) arrays, the belief term
+        the (T,) table they share; each equals, bit for bit, the one
+        step() gives when a reset env takes the same actions.
         """
         a = validate_action(actions)
         if a.shape[-2:] != self.empirical.shape:
             raise ContractError(
                 f"expected actions of shape (..., {len(self.empirical)}, 2), got {a.shape}"
             )
-        accuracy = -np.abs(a - self.empirical).sum(axis=-1)
         first = np.broadcast_to(UNIFORM_ACTION, (*a.shape[:-2], 1, 2))
-        moves = a - np.concatenate([first, a[..., :-1, :]], axis=-2)
+        prev = np.concatenate([first, a[..., :-1, :]], axis=-2)
+        return a, self._rewards(a, prev, slice(None))
+
+    def _rewards(self, a: np.ndarray, prev: np.ndarray, t: int | slice) -> RewardBreakdown:
+        """The reward terms of validated actions a after prev, at step(s) t of the tables.
+
+        The smoothness norm goes through the (1, 2) @ (2, 1) ddot that
+        np.linalg.norm calls, so one action and a stack give the same bits.
+        """
+        accuracy = -np.abs(a - self.empirical[t]).sum(axis=-1)
+        moves = a - prev
         norms = np.sqrt((moves[..., None, :] @ moves[..., :, None])[..., 0, 0])
         smoothness = -self.reward_config.lambda1 * norms
-        belief = np.broadcast_to(self._belief_terms, accuracy.shape)
-        total = accuracy + smoothness + belief
-        return a, RewardBreakdown(accuracy, smoothness, belief, total)
+        belief = self._belief_terms[t]
+        return RewardBreakdown(accuracy, smoothness, belief, accuracy + smoothness + belief)
 
     def episode_totals(self, actions: np.ndarray) -> np.ndarray:
         """Each sequence's episode_rewards totals, summed in step order from 0.0."""

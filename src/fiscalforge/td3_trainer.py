@@ -135,6 +135,11 @@ class TD3Config:
             raise ContractError("tau must lie in [0, 1]")
         if self.actor_delay < 1 or self.batch_size < 1 or self.buffer_capacity < 1:
             raise ContractError("actor_delay, batch_size, buffer_capacity must be positive")
+        if self.batch_size > self.buffer_capacity:
+            raise ContractError(
+                f"batch_size {self.batch_size} exceeds buffer_capacity {self.buffer_capacity}: "
+                "no update would ever run"
+            )
         if min(self.exploration_sigma, self.target_noise_sigma,
                self.target_noise_clip, self.learning_rate) < 0:
             raise ContractError("rates and noise scales must be non-negative")
@@ -278,7 +283,7 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
         episode_total += result.reward.total
         state = result.next_state
         if result.done:
-            episode_rewards.append(episode_total)
+            episode_rewards.append(float(episode_total))
             episode_total = 0.0
             state = env.reset()
 

@@ -242,17 +242,16 @@ def test_criterion_7_metric_fixtures():
     )
     assert kl_divergence(*pairs(([1.0, 0.0], [1.0, 0.0]))) == 0.0
 
-    from fiscalforge.environment import empirical_allocation
     from conftest import make_series
 
     series = make_series([(10, 30, 1), (30, 10, 2), (20, 20, 3), (25, 15, 4)])
-    scaler = fit_scaler(series)
+    env = BudgetEnv(series, fit_scaler(series))
 
     class Oracle:
         def act(self, states):
-            return np.array([empirical_allocation(series, t) for t in range(len(states))])
+            return env.empirical[: len(states)]
 
-    report, _ = evaluate_policy(Oracle(), BudgetEnv(series, scaler))
+    report, _ = evaluate_policy(Oracle(), env)
     assert report.mae <= 1e-12
     assert abs(report.cosine_similarity - 1.0) <= 1e-12
     assert report.kl_divergence <= 1e-12

@@ -198,6 +198,14 @@ class TestTrainCommand:
             assert main(["train", "--config", str(config)]) == 4
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_batch_larger_than_buffer_exits_1(self, tmp_path, capsys):
+        """A buffer smaller than one minibatch would never start updating the actor."""
+        config = _write_config(tmp_path, {"td3": {"buffer_capacity": 16, "batch_size": 64,
+                                                  "total_timesteps": 400}})
+        assert main(["train", "--config", str(config)]) == 1
+        assert "batch_size 64 exceeds buffer_capacity 16" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "actor.ckpt").exists()
+
     def test_history_lines_parse(self, tmp_path):
         config = _write_config(tmp_path)
         main(["train", "--config", str(config)])

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fiscalforge.data_ingest import (
-    FinancialSeries,
-    QuarterRecord,
     chrono_split,
     fit_scaler,
     load_series,
@@ -34,7 +34,10 @@ class TestLoadSeries:
         series = load_series(_write_csv(tmp_path, WELL_FORMED))
         assert len(series) == 4
         assert series.dropped_rows == 0
-        assert series[0] == QuarterRecord("2020-Q1", 10.0, 5.0, 100.0)
+        assert series.periods[0] == "2020-Q1"
+        assert series.values.dtype == np.float64
+        assert series.values[0].tolist() == [10.0, 5.0, 100.0]
+        assert not series.values.flags.writeable
 
     def test_blank_cell_dropped_and_counted(self, tmp_path):
         rows = WELL_FORMED + ["2021-Q1,50,9,"]
@@ -72,9 +75,8 @@ class TestLoadSeries:
     def test_rows_sorted_chronologically(self, tmp_path):
         shuffled = [WELL_FORMED[2], WELL_FORMED[0], WELL_FORMED[3], WELL_FORMED[1]]
         series = load_series(_write_csv(tmp_path, shuffled))
-        assert [r.period for r in series] == [
-            "2020-Q1", "2020-Q2", "2020-Q3", "2020-Q4",
-        ]
+        assert series.periods == ("2020-Q1", "2020-Q2", "2020-Q3", "2020-Q4")
+        assert series.values[:, 0].tolist() == [10.0, 20.0, 30.0, 40.0]
 
     def test_negative_expense_rejected(self, tmp_path):
         rows = WELL_FORMED[:3] + ["2020-Q4,-1,8,90"]
@@ -97,11 +99,12 @@ class TestFitScaler:
     def test_extrema(self):
         series = make_series([(10, 1, 0), (20, 2, 1), (30, 3, 2), (15, 4, 3)])
         params = fit_scaler(series)
-        assert params.bounds["rnd"] == (10.0, 30.0)
+        assert (params.low[0], params.high[0]) == (10.0, 30.0)
 
     def test_extrema_with_negatives(self):
         series = make_series([(1, 1, -2), (2, 2, 0), (3, 3, 6), (4, 4, 1)])
-        assert fit_scaler(series).bounds["net_income"] == (-2.0, 6.0)
+        params = fit_scaler(series)
+        assert (params.low[2], params.high[2]) == (-2.0, 6.0)
 
     def test_constant_column_rejected(self):
         series = make_series([(5, 1, 0), (5, 2, 1), (5, 3, 2), (5, 4, 3)])
@@ -110,13 +113,13 @@ class TestFitScaler:
 
 
 class TestApplyScaler:
-    """Scaling through ScalerParams.scale_value, the pipeline's one scaling path."""
+    """Scaling through ScalerParams.scale, the pipeline's one scaling path."""
 
     @pytest.fixture()
     def scaled_setup(self):
         series = make_series([(10, 1, -2), (20, 2, 0), (30, 3, 6), (25, 4, 1)])
         params = fit_scaler(series)
-        return series, params, [params.scale_value("rnd", r.rnd) for r in series]
+        return series, params, params.scale(series.values)[:, 0].tolist()
 
     def test_bounds_map_to_unit_interval(self, scaled_setup):
         """min -> 0, max -> 1 for every feature of the fit segment."""
@@ -126,24 +129,36 @@ class TestApplyScaler:
 
     def test_midpoint(self, scaled_setup):
         series, params, _ = scaled_setup
-        assert params.scale_value("rnd", 20.0) == pytest.approx(0.5)
+        assert params.scale(np.array([20.0, 2.5, 2.0])).tolist() == pytest.approx([0.5] * 3)
 
     def test_out_of_fit_values_not_clipped(self, scaled_setup):
         _, params, _ = scaled_setup
-        assert params.scale_value("rnd", 40.0) > 1.0
-        assert params.scale_value("rnd", 0.0) < 0.0
+        assert params.scale(np.array([40.0, 5.0, 7.0])).min() > 1.0
+        assert params.scale(np.array([0.0, 0.0, -3.0])).max() < 0.0
 
-    def test_scaling_is_order_preserving(self):
-        """Monotone per feature on 1000 random columns."""
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            col = rng.uniform(-1e3, 1e3, size=8)
-            lo, hi = col.min(), col.max()
-            if hi <= lo:
-                continue
-            scaled = (col - lo) / (hi - lo)
-            assert np.array_equal(np.argsort(col, kind="stable"),
-                                  np.argsort(scaled, kind="stable"))
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 3), min_size=2, max_size=12))
+    def test_scaling_is_order_preserving(self, rows):
+        """fit_scaler(series).scale(series.values) on random series.
+
+        Each cell equals the per-cell formula (v - lo) / (hi - lo) bit
+        for bit, each column's min maps to 0 and max to 1, and each
+        column's order is preserved (ties may appear, never inversions).
+        """
+        series = make_series(rows)
+        columns = list(zip(*rows))
+        assume(all(min(col) < max(col) for col in columns))
+        params = fit_scaler(series)
+        lows, highs = params.low.tolist(), params.high.tolist()
+        assert lows == [min(col) for col in columns]
+        assert highs == [max(col) for col in columns]
+
+        scaled = params.scale(series.values)
+        expected = [[(v - lo) / (hi - lo) for v, lo, hi in zip(row, lows, highs)] for row in rows]
+        assert scaled.tobytes() == np.array(expected).tobytes()
+        for col, out in zip(columns, scaled.T):
+            assert (out.min(), out.max()) == (0.0, 1.0)
+            assert np.all(np.diff(out[np.argsort(col, kind="stable")]) >= 0.0)
 
 
 class TestChronoSplit:
@@ -161,7 +176,8 @@ class TestChronoSplit:
         """Concatenating the splits reproduces the input exactly."""
         series = make_series([(i + 1, 2, 3) for i in range(9)])
         train, test = chrono_split(series, 0.6)
-        assert train.records + test.records == series.records
+        assert train.periods + test.periods == series.periods
+        assert np.concatenate([train.values, test.values]).tobytes() == series.values.tobytes()
 
     def test_empty_train_rejected(self):
         series = make_series([(i + 1, 1, 0) for i in range(4)])

@@ -14,8 +14,6 @@ from fiscalforge.environment import (
     BudgetEnv,
     RewardConfig,
     clip_to_simplex,
-    empirical_allocation,
-    update_belief,
     validate_action,
     write_trace,
 )
@@ -24,11 +22,9 @@ from fiscalforge.errors import (
     DataError,
     DomainError,
     SequenceError,
-    ShapeError,
 )
-from fiscalforge.special_functions import dirichlet_kl
 
-from conftest import DATA_DIR, make_series
+from conftest import DATA_DIR, make_series, oracle_tables
 
 
 def _scaler():
@@ -44,45 +40,39 @@ BASIC_ROWS = [(10, 10, 1), (30, 10, 2), (10, 30, 3), (20, 20, 4)]
 
 
 class TestEmpiricalAllocation:
+    """env.empirical row t: the realized shares of quarter t + 1."""
+
     def test_direct_ratio(self):
-        series = make_series([(1, 1, 0), (3, 1, 0)])
-        np.testing.assert_allclose(empirical_allocation(series, 0), [0.75, 0.25])
+        np.testing.assert_allclose(_env([(1, 1, 0), (3, 1, 0)]).empirical, [[0.75, 0.25]])
 
     def test_symmetric(self):
-        series = make_series([(1, 1, 0), (2, 2, 0)])
-        np.testing.assert_allclose(empirical_allocation(series, 0), [0.5, 0.5])
+        np.testing.assert_allclose(_env([(1, 1, 0), (2, 2, 0)]).empirical, [[0.5, 0.5]])
 
     def test_simplex_boundary(self):
-        series = make_series([(1, 1, 0), (0, 5, 0)])
-        np.testing.assert_allclose(empirical_allocation(series, 0), [0.0, 1.0])
-
-    def test_out_of_range_index(self):
-        series = make_series([(1, 1, 0), (2, 2, 0)])
-        with pytest.raises(ContractError):
-            empirical_allocation(series, 1)
+        np.testing.assert_allclose(_env([(1, 1, 0), (0, 5, 0)]).empirical, [[0.0, 1.0]])
 
     def test_degenerate_quarter(self):
-        series = make_series([(1, 1, 0), (0, 0, 0)])
         with pytest.raises(DataError):
-            empirical_allocation(series, 0)
+            _env([(1, 1, 0), (0, 0, 0)])
+
+
+def _belief_after_one_step(prior, rnd, sga, confidence):
+    """env.alpha after the one step of a series whose quarter 1 spends (rnd, sga)."""
+    env = _env([(1, 1, 0), (rnd, sga, 0)], belief=BeliefConfig(prior, confidence))
+    env.reset()
+    env.step(np.array([0.5, 0.5]))
+    return env.alpha
 
 
 class TestUpdateBelief:
     def test_direct_arithmetic(self):
-        out = update_belief(np.array([5.0, 3.0]), np.array([0.75, 0.25]), 4.0)
-        np.testing.assert_array_equal(out, [8.0, 4.0])
+        np.testing.assert_array_equal(_belief_after_one_step((5.0, 3.0), 3, 1, 4.0), [8.0, 4.0])
 
     def test_zero_confidence_identity(self):
-        alpha = np.array([5.0, 3.0])
-        np.testing.assert_array_equal(update_belief(alpha, np.array([0.6, 0.4]), 0.0), alpha)
+        np.testing.assert_array_equal(_belief_after_one_step((5.0, 3.0), 3, 2, 0.0), [5.0, 3.0])
 
     def test_one_sided_evidence(self):
-        out = update_belief(np.array([5.0, 3.0]), np.array([0.0, 1.0]), 2.0)
-        np.testing.assert_array_equal(out, [5.0, 5.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            update_belief(np.array([5.0, 3.0]), np.array([1.0, 0.0, 0.0]), 1.0)
+        np.testing.assert_array_equal(_belief_after_one_step((5.0, 3.0), 0, 5, 2.0), [5.0, 5.0])
 
 
 class TestActionValidation:
@@ -156,7 +146,9 @@ class TestReset:
          BeliefConfig(prior=(float("nan"), 3.0))],
         ids=["prior-overflow", "confidence-overflow", "prior-nan"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_belief_rejected_at_construction(self, belief):
+        """Only DomainError: an overflowing belief table raises no RuntimeWarning."""
         with pytest.raises(DomainError):
             _env(BASIC_ROWS, belief=belief)
 
@@ -335,27 +327,26 @@ class TestStepTables:
     )
     def test_step_equals_direct_computation(self, rows, shares, lambdas, prior, confidence):
         series = make_series(rows)
-        reward = RewardConfig(*lambdas)
-        env = BudgetEnv(series, _scaler(), reward, BeliefConfig(prior, confidence))
-        env.reset()
-        prior = np.array(prior)
-        alpha, prev = prior.copy(), np.array([0.5, 0.5])
+        reward, belief = RewardConfig(*lambdas), BeliefConfig(prior, confidence)
+        env = BudgetEnv(series, _scaler(), reward, belief)
+        states, empirical, alphas, belief_terms = oracle_tables(series, _scaler(), reward, belief)
+        np.testing.assert_array_equal(env.reset(), states[0])
+        prev = np.array([0.5, 0.5])
         for t in range(len(series) - 1):
             action = np.array([shares[t], 1.0 - shares[t]])
             result = env.step(action)
 
             a = validate_action(action)
-            empirical = empirical_allocation(series, t)
-            alpha = update_belief(alpha, empirical, confidence)
-            accuracy = -float(np.abs(a - empirical).sum())
+            accuracy = -float(np.abs(a - np.array(empirical[t])).sum())
             smoothness = -reward.lambda1 * float(np.linalg.norm(a - prev))
-            belief = -reward.lambda2 * dirichlet_kl(alpha, prior)
+            belief_term = belief_terms[t]
             prev = a
 
             r = result.reward
             assert (r.accuracy_term, r.smoothness_term, r.belief_term, r.total) == (
-                accuracy, smoothness, belief, accuracy + smoothness + belief
+                accuracy, smoothness, belief_term, accuracy + smoothness + belief_term
             )
-            np.testing.assert_array_equal(env.alpha, alpha)
+            assert env.alpha.tolist() == alphas[t]
+            assert result.next_state.tolist() == states[t + 1]
             np.testing.assert_array_equal(result.action, a)
             assert result.done == (t == len(series) - 2)

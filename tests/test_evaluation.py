@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fiscalforge.data_ingest import fit_scaler
-from fiscalforge.environment import BudgetEnv, empirical_allocation
+from fiscalforge.environment import BudgetEnv
 from fiscalforge.errors import DataError, DomainError
 from fiscalforge.evaluation import (
     cosine_similarity,
@@ -147,11 +147,11 @@ FIXTURE_ROWS = [(10, 30, 1), (30, 10, 2), (20, 20, 3), (25, 15, 4), (15, 25, 5),
 class _OraclePolicy:
     """Replays each quarter's own upcoming empirical allocation."""
 
-    def __init__(self, series):
-        self.series = series
+    def __init__(self, env):
+        self.env = env
 
     def act(self, states):
-        return np.array([empirical_allocation(self.series, t) for t in range(len(states))])
+        return self.env.empirical[: len(states)]
 
 
 class _UniformPolicy:
@@ -166,7 +166,8 @@ class TestEvaluatePolicy:
 
     def test_oracle_policy_scores_perfectly(self):
         series, scaler = self._setup()
-        report, actions = evaluate_policy(_OraclePolicy(series), BudgetEnv(series, scaler))
+        env = BudgetEnv(series, scaler)
+        report, actions = evaluate_policy(_OraclePolicy(env), env)
         assert report.mae <= 1e-12
         assert abs(report.cosine_similarity - 1.0) <= 1e-12
         assert report.kl_divergence <= 1e-12

@@ -2,9 +2,10 @@
 
 GA fitness and held-out evaluation score whole episodes at once
 (forward_population, then BudgetEnv.episode_rewards or episode_totals).
-The oracle below recomputes each episode per quarter from the series
-(empirical shares, sequential belief update, Dirichlet penalty) in the
-step loop's reward order and trace-record layout. Fitness must match
+The oracle below recomputes each episode per quarter from conftest's
+plain-Python tables (scaled states, empirical shares, sequential belief
+update, Dirichlet penalty) in the step loop's reward order and
+trace-record layout. Fitness must match
 bit for bit and trace.jsonl line for line, and evolve must match the
 per-individual loop it replaced.
 """
@@ -23,8 +24,6 @@ from fiscalforge.environment import (
     BeliefConfig,
     BudgetEnv,
     RewardConfig,
-    empirical_allocation,
-    update_belief,
     validate_action,
 )
 from fiscalforge.errors import ContractError
@@ -44,46 +43,36 @@ from fiscalforge.quantum_ga import (
     quantum_mutate,
     uniform_crossover,
 )
-from fiscalforge.special_functions import dirichlet_kl
 from fiscalforge.td3_trainer import ACTOR_HIDDEN
 
-from conftest import make_series
+from conftest import make_series, oracle_tables
 
 SCALER = fit_scaler(make_series([(1, 2, -5), (10, 20, 0), (40, 30, 10), (60, 50, 20)]))
 
 
 def _oracle_episode(genome, spec, series, reward, belief):
     """(cumulative reward, trace.jsonl lines) of one greedy episode."""
-    prior = np.array(belief.prior)
-    alpha, prev = prior.copy(), np.array([0.5, 0.5])
+    states, shares, alphas, belief_terms = oracle_tables(series, SCALER, reward, belief)
+    prev = np.array([0.5, 0.5])
     total = 0.0
     lines = []
-    for t in range(len(series) - 1):
-        rec = series[t]
-        state = np.array([
-            SCALER.scale_value("rnd", rec.rnd),
-            SCALER.scale_value("sga", rec.sga),
-            SCALER.scale_value("net_income", rec.net_income),
-        ])
-        a = validate_action(forward_actor(genome, spec, state))
-        empirical = empirical_allocation(series, t)
-        alpha = update_belief(alpha, empirical, belief.confidence)
-        accuracy = -float(np.abs(a - empirical).sum())
+    for t, (empirical, alpha, belief_term) in enumerate(zip(shares, alphas, belief_terms)):
+        a = validate_action(forward_actor(genome, spec, np.array(states[t])))
+        accuracy = -float(np.abs(a - np.array(empirical)).sum())
         smoothness = -reward.lambda1 * float(np.linalg.norm(a - prev))
-        belief_term = -reward.lambda2 * dirichlet_kl(alpha, prior)
         step_total = accuracy + smoothness + belief_term
         total += step_total
         record = {
             "t": t,
             "action": a.tolist(),
-            "empirical": empirical.tolist(),
+            "empirical": empirical,
             "reward_terms": {
                 "accuracy": accuracy,
                 "smoothness": smoothness,
                 "belief": belief_term,
                 "total": step_total,
             },
-            "alpha": alpha.tolist(),
+            "alpha": alpha,
         }
         lines.append(json.dumps(record, sort_keys=True))
         prev = a
