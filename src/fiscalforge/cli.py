@@ -2,10 +2,11 @@
 
 One JSON config drives every stage. All commands are deterministic
 given (config file, input artifacts): rerunning a command overwrites
-its outputs with byte-identical bytes. The master seed derives stage
-seeds as seed+1/+2/+3 for environment, training, and refinement (the
-environment slot is reserved; the environment itself has no
-randomness).
+its outputs with byte-identical bytes, and removes what later stages
+of an earlier run left in the output directory. The master seed
+derives stage seeds as seed+1/+2/+3 for environment, training, and
+refinement (the environment slot is reserved; the environment itself
+has no randomness).
 
 Each config value is checked by one rule per declared field type. A
 RunConfig builds its inputs once, on first use: one CSV parse and one
@@ -48,7 +49,7 @@ from .neural_core import (
     load_checkpoint,
     save_checkpoint,
 )
-from .quantum_ga import GaConfig, evaluate_fitness, evolve
+from .quantum_ga import GaConfig, evaluate_fitness, evolve, perturbation_edges
 from .td3_trainer import ACTION_DIM, STATE_DIM, TD3Config, TrainedPolicy, train
 
 __all__ = ["RunConfig", "main", "entrypoint"]
@@ -60,6 +61,12 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
 
 ACTOR_CKPT = "actor.ckpt"
 REFINED_CKPT = "refined_actor.ckpt"
+
+# What each stage's outputs make stale. A stage removes them before it
+# writes, so that no later stage reads, or leaves beside the new outputs,
+# an artifact of an older run.
+_EVALUATE_OUTPUTS = ("metrics.json", "pairs.csv", "trace.jsonl", "summary.json")
+_REFINE_OUTPUTS = (REFINED_CKPT, "generations.jsonl", "perturbations.csv")
 
 
 @dataclass(frozen=True)
@@ -201,6 +208,11 @@ def _write_jsonl(path: Path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _remove(out: Path, names) -> None:
+    for name in names:
+        (out / name).unlink(missing_ok=True)
+
+
 def _load_actor(path: Path) -> ActorPolicy:
     if not path.exists():
         raise ArtifactError(f"checkpoint not found: {path}")
@@ -222,6 +234,7 @@ def cmd_train(cfg: RunConfig) -> TrainedPolicy:
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    _remove(out, _REFINE_OUTPUTS + _EVALUATE_OUTPUTS)
     save_checkpoint(out / ACTOR_CKPT, policy.spec, policy.params)
     export_json(out / "actor.json", policy.spec, policy.params)
     for name, params in policy.aux_params.items():
@@ -248,6 +261,7 @@ def cmd_refine(cfg: RunConfig) -> ActorPolicy:
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    _remove(out, _EVALUATE_OUTPUTS)
     save_checkpoint(out / REFINED_CKPT, refined.spec, refined.params)
     _write_jsonl(
         out / "generations.jsonl",
@@ -262,10 +276,12 @@ def cmd_refine(cfg: RunConfig) -> ActorPolicy:
             for g in logs
         ),
     )
+    edges = perturbation_edges(cfg.ga).tolist()
     with (out / "perturbations.csv").open("w", encoding="utf-8") as fh:
+        fh.write("generation,bin_low,bin_high,count\n")
         for g in logs:
-            for delta in g.perturbations:
-                fh.write(f"{delta!r}\n")
+            for low, high, count in zip(edges, edges[1:], g.histogram):
+                fh.write(f"{g.generation},{low!r},{high!r},{count}\n")
     for g in logs:
         print(f"generation {g.generation} best fitness: {g.best:.6f}")
     return refined

@@ -10,6 +10,12 @@ angle dtheta, and nudged by the resulting |1> amplitude, sin(dtheta),
 scaled by the mutation strength. The perturbations are therefore
 zero-centered, symmetric, and bounded by the strength.
 
+Each generation's offsets are kept only as counts: a histogram of
+PERTURBATION_BINS equal bins whose edges, perturbation_edges, span
+[-strength, +strength] (numpy widens a zero strength to [-0.5, 0.5]).
+Since no offset exceeds the strength, every offset is counted, and a
+generation's counts sum to its n_mutations.
+
 The population is one (N, P) array of genome rows with a fitness
 vector beside it (NaN until a row is scored). Fitness is the cumulative
 reward of one greedy episode with the genome's noise-free actor; the
@@ -44,8 +50,12 @@ __all__ = [
     "select_elites",
     "uniform_crossover",
     "quantum_mutate",
+    "PERTURBATION_BINS",
+    "perturbation_edges",
     "evolve",
 ]
+
+PERTURBATION_BINS = 20
 
 
 @dataclass(frozen=True)
@@ -77,7 +87,7 @@ class GenerationLog:
     mean: float
     fitnesses: tuple[float, ...]
     n_mutations: int
-    perturbations: tuple[float, ...]
+    histogram: tuple[int, ...]  # offset counts per bin of perturbation_edges
 
 
 def init_population(
@@ -151,6 +161,12 @@ def quantum_mutate(
     return genome, deltas
 
 
+def perturbation_edges(config: GaConfig) -> np.ndarray:
+    """The PERTURBATION_BINS + 1 edges of every generation's offset histogram."""
+    s = config.mutation_strength
+    return np.histogram_bin_edges((), PERTURBATION_BINS, (-s, s))
+
+
 def evolve(
     base_policy: ActorPolicy, env: BudgetEnv, config: GaConfig
 ) -> tuple[ActorPolicy, list[GenerationLog]]:
@@ -177,12 +193,15 @@ def evolve(
         # The all-time best re-enters unmodified (elitist hall of fame).
         children = np.empty_like(population)
         children[0] = best_genome
-        perturbations: list[float] = []
+        deltas = [np.empty(0)]  # this generation's offsets, one array per child
         for i in range(1, len(children)):
             pa = population[elites[rng.integers(0, len(elites))]]
             pb = population[elites[rng.integers(0, len(elites))]]
-            children[i], deltas = quantum_mutate(uniform_crossover(pa, pb, rng), config, rng)
-            perturbations.extend(deltas.tolist())
+            children[i], child_deltas = quantum_mutate(uniform_crossover(pa, pb, rng), config, rng)
+            deltas.append(child_deltas)
+        offsets = np.concatenate(deltas)
+        s = config.mutation_strength
+        histogram, _ = np.histogram(offsets, PERTURBATION_BINS, (-s, s))
 
         logs.append(
             GenerationLog(
@@ -190,8 +209,8 @@ def evolve(
                 best=float(fitness[gen_best_idx]),
                 mean=float(np.mean(fitness)),
                 fitnesses=tuple(fitness.tolist()),
-                n_mutations=len(perturbations),
-                perturbations=tuple(perturbations),
+                n_mutations=offsets.size,
+                histogram=tuple(histogram.tolist()),
             )
         )
         population = children

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from fiscalforge.cli import load_run_config, main
 from fiscalforge.errors import ConfigError
+from fiscalforge.quantum_ga import PERTURBATION_BINS
 from fiscalforge.td3_trainer import actor_spec
 
 from conftest import FIXTURE_CSV
@@ -32,6 +33,7 @@ TRAIN_FILES = {
     "actor_target.ckpt", "critic1_target.ckpt", "critic2_target.ckpt",
     "history.jsonl",
 }
+REFINE_FILES = {"refined_actor.ckpt", "generations.jsonl", "perturbations.csv"}
 
 
 def _mutated_csv(directory, cells):
@@ -226,6 +228,32 @@ class TestRefineCommand:
         assert len(gen_lines) == SMALL_CONFIG["ga"]["generations"]
         assert "best fitness" in capsys.readouterr().out
 
+    def test_perturbations_csv_is_a_histogram(self, tmp_path):
+        """Each generation's offsets binned over [-s, s], s the mutation strength.
+
+        No offset exceeds the strength (criterion 6), so the bins hold
+        them all: each generation's counts sum to its n_mutations.
+        """
+        strength = 0.2
+        config = _write_config(tmp_path, {"ga": {"mutation_strength": strength}})
+        main(["train", "--config", str(config)])
+        assert main(["refine", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        generations = [json.loads(line)
+                       for line in (out / "generations.jsonl").read_text().splitlines()]
+        lines = (out / "perturbations.csv").read_text().splitlines()
+        assert lines[0] == "generation,bin_low,bin_high,count"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == [
+            g["generation"] for g in generations for _ in range(PERTURBATION_BINS)]
+        for g in generations:
+            own = [r for r in rows if int(r[0]) == g["generation"]]
+            lows, highs = [float(r[1]) for r in own], [float(r[2]) for r in own]
+            assert lows[0] == -strength and highs[-1] == strength
+            assert lows[1:] == highs[:-1]
+            assert all(low < high for low, high in zip(lows, highs))
+            assert sum(int(r[3]) for r in own) == g["n_mutations"] > 0
+
     def test_default_refinement_runs_ten_generations(self, tmp_path):
         config = _write_config(tmp_path, {"ga": {}})
         doc = json.loads(config.read_text())
@@ -355,6 +383,40 @@ class TestPipelineCommand:
             >= summary["pre_refinement"]["fitness"]
         )
         assert "refinement summary" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stage, kept, scored", [
+        ("train", TRAIN_FILES, "actor.ckpt"),
+        ("refine", TRAIN_FILES | REFINE_FILES, "refined_actor.ckpt"),
+    ], ids=["train", "refine"])
+    def test_rerun_stage_leaves_no_older_downstream_artifact(
+        self, tmp_path, monkeypatch, stage, kept, scored
+    ):
+        """A stage rerun with another seed removes what the old run built on its outputs."""
+        import fiscalforge.cli as cli
+
+        config = _write_config(tmp_path)
+        assert main(["pipeline", "--config", str(config)]) == 0
+        assert main([stage, "--config", str(config), "--seed", "8"]) == 0
+        out = tmp_path / "out"
+        assert {p.name for p in out.iterdir()} == kept
+        loads = []
+        load = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or load(path))
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert [p.name for p in loads] == [scored]
+
+    def test_staged_run_matches_pipeline(self, tmp_path):
+        """train; refine; evaluate writes the pipeline's bytes for each artifact they share."""
+        config = _write_config(tmp_path)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+        for stage in ("train", "refine", "evaluate"):
+            assert main([stage, "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+        staged = sorted(p.name for p in (tmp_path / "s").iterdir())
+        assert staged == sorted(p.name for p in (tmp_path / "p").iterdir()
+                                if p.name != "summary.json")
+        assert len(staged) == 14
+        for name in staged:
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
     def test_stages_hand_results_forward(self, tmp_path, monkeypatch):
         """Only refine and evaluate read a checkpoint; the pipeline reuses the results."""

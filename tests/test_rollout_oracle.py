@@ -7,11 +7,13 @@ plain-Python tables (scaled states, empirical shares, sequential belief
 update, Dirichlet penalty) in the step loop's reward order and
 trace-record layout. Fitness must match
 bit for bit and trace.jsonl line for line, and evolve must match the
-per-individual loop it replaced.
+per-individual loop it replaced, which keeps its raw mutation offsets
+and bins them in plain Python.
 """
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +38,12 @@ from fiscalforge.neural_core import (
     init_params,
 )
 from fiscalforge.quantum_ga import (
+    PERTURBATION_BINS,
     GaConfig,
     evaluate_fitness,
     evaluate_population,
     evolve,
+    perturbation_edges,
     quantum_mutate,
     uniform_crossover,
 )
@@ -160,6 +164,21 @@ def test_saturating_scale_gives_exact_zero_shares():
     assert np.any(forward_population(genome[None], spec, env.episode_states) == 0.0)
 
 
+def _edges(strength):
+    """PERTURBATION_BINS equal bins over [-strength, strength]; [-0.5, 0.5] at strength 0."""
+    half = strength if strength > 0 else 0.5
+    return np.linspace(-half, half, PERTURBATION_BINS + 1).tolist()
+
+
+def _histogram(offsets, strength):
+    """Count each offset in the bin whose [low, high) holds it; the last bin is closed."""
+    edges = _edges(strength)
+    counts = [0] * PERTURBATION_BINS
+    for d in offsets:
+        counts[min(bisect_right(edges, d) - 1, PERTURBATION_BINS - 1)] += 1
+    return tuple(counts)
+
+
 @dataclass
 class _Individual:
     genome: np.ndarray
@@ -199,7 +218,7 @@ def _individual_loop(base, config, series, reward, belief):
             perturbations.extend(deltas.tolist())
         logs.append((generation, float(fitnesses[gen_best]), float(np.mean(fitnesses)),
                      tuple(float(f) for f in fitnesses), len(perturbations),
-                     tuple(perturbations)))
+                     _histogram(perturbations, config.mutation_strength)))
         population = [_Individual(best_genome.copy(), best_fitness)] + offspring
     return best_genome, logs
 
@@ -213,16 +232,24 @@ def _individual_loop(base, config, series, reward, belief):
     population_size=st.integers(1, 6),
     elite_fraction=st.floats(0.05, 1.0),
     mutation_rate=st.floats(0.0, 1.0),
+    mutation_strength=st.sampled_from([0.0, 0.05, 0.7]),
     init_sigma=st.sampled_from([0.0, 0.02, 0.5, 30.0]),
     lambdas=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
 )
 # Saturated actors: distinct genomes tie on fitness, so the tie-break shows.
 @example(rows=[(1, 2, -5), (10, 20, 0), (40, 30, 10), (60, 50, 20), (5, 9, 1)],
          hidden=(8, 8), seed=2, generations=3, population_size=6, elite_fraction=0.5,
-         mutation_rate=0.5, init_sigma=30.0, lambdas=(0.1, 0.01))
+         mutation_rate=0.5, mutation_strength=0.05, init_sigma=30.0, lambdas=(0.1, 0.01))
+# Zero strength: every offset is exactly 0.0. Zero rate: no offset at all.
+@example(rows=[(1, 2, -5), (10, 20, 0), (40, 30, 10)], hidden=(4,), seed=3, generations=2,
+         population_size=5, elite_fraction=0.4, mutation_rate=0.5, mutation_strength=0.0,
+         init_sigma=0.02, lambdas=(0.1, 0.01))
+@example(rows=[(1, 2, -5), (10, 20, 0), (40, 30, 10)], hidden=(4,), seed=4, generations=2,
+         population_size=5, elite_fraction=0.4, mutation_rate=0.0, mutation_strength=0.05,
+         init_sigma=0.02, lambdas=(0.1, 0.01))
 def test_evolve_matches_individual_loop(
     rows, hidden, seed, generations, population_size, elite_fraction, mutation_rate,
-    init_sigma, lambdas,
+    mutation_strength, init_sigma, lambdas,
 ):
     """The array GA refines to the same genome bytes and logs as the per-individual loop."""
     series = make_series(rows)
@@ -232,14 +259,17 @@ def test_evolve_matches_individual_loop(
     env = BudgetEnv(series, SCALER, reward, belief)
     config = GaConfig(generations=generations, population_size=population_size,
                       elite_fraction=elite_fraction, mutation_rate=mutation_rate,
-                      init_sigma=init_sigma, seed=seed)
+                      init_sigma=init_sigma, mutation_strength=mutation_strength, seed=seed)
 
     best, logs = evolve(base, env, config)
     expected_genome, expected_logs = _individual_loop(base, config, series, reward, belief)
     assert best.params.tobytes() == expected_genome.tobytes()
-    got = [(g.generation, g.best, g.mean, g.fitnesses, g.n_mutations, g.perturbations)
+    got = [(g.generation, g.best, g.mean, g.fitnesses, g.n_mutations, g.histogram)
            for g in logs]
     assert repr(got) == repr(expected_logs)
+    assert perturbation_edges(config).tolist() == _edges(mutation_strength)
+    # Offsets never exceed the strength (criterion 6), so the edges hold every one.
+    assert all(sum(g.histogram) == g.n_mutations for g in logs)
 
 
 # A row near the simplex (drift within tolerance, a share of 0 or 1 can
