@@ -3,7 +3,9 @@
 One JSON config drives every stage. All commands are deterministic
 given (config file, input artifacts): rerunning a command overwrites
 its outputs with byte-identical bytes, and removes what later stages
-of an earlier run left in the output directory. The master seed
+of an earlier run left in the output directory. Every artifact is
+written atomically (fiscalforge.atomic), so a failed or interrupted
+write leaves the old file whole. The master seed
 derives stage seeds as seed+1/+2/+3 for environment, training, and
 refinement (the environment slot is reserved; the environment itself
 has no randomness).
@@ -31,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_open
 from .data_ingest import FinancialSeries, chrono_split, fit_scaler, load_series
 from .environment import BeliefConfig, BudgetEnv, RewardConfig
 from .errors import (
@@ -199,11 +202,12 @@ def load_run_config(
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _write_jsonl(path: Path, rows) -> None:
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
@@ -277,7 +281,7 @@ def cmd_refine(cfg: RunConfig) -> ActorPolicy:
         ),
     )
     edges = perturbation_edges(cfg.ga).tolist()
-    with (out / "perturbations.csv").open("w", encoding="utf-8") as fh:
+    with atomic_open(out / "perturbations.csv") as fh:
         fh.write("generation,bin_low,bin_high,count\n")
         for g in logs:
             for low, high, count in zip(edges, edges[1:], g.histogram):
@@ -297,7 +301,7 @@ def cmd_evaluate(cfg: RunConfig) -> MetricsReport:
     out.mkdir(parents=True, exist_ok=True)
     report, actions = evaluate_policy(policy, env, trace_path=out / "trace.jsonl")
     _write_json(out / "metrics.json", report.to_dict())
-    with (out / "pairs.csv").open("w", encoding="utf-8") as fh:
+    with atomic_open(out / "pairs.csv") as fh:
         fh.write("t,pred_rnd,pred_sga,actual_rnd,actual_sga\n")
         for t, row in enumerate(np.hstack([actions, env.empirical]).tolist()):
             fh.write(f"{t},{','.join(map(repr, row))}\n")

@@ -21,14 +21,19 @@ the belief vectors (a sequential running sum from the prior) and, in
 the one per-step loop, the belief penalties. A series with a
 non-positive rnd + sga in any quarter after the first raises DataError;
 a belief vector or penalty that is not finite (a prior or confidence
-near the float maximum) raises DomainError. One reward helper scores
-actions against the tables: step(), the path training takes, for one
-validated action, and episode_rewards for a stack of whole action
-sequences. A greedy episode is open-loop (state t is the scaled
-quarter t, whatever the actions), so GA fitness, evaluation and
-trace.jsonl need no step loop, and their terms equal step()'s bit for
-bit. Each action sequence is validated exactly once: validate_action
-renormalizes, so a second pass could move the last ulp.
+near the float maximum) raises DomainError. The states, empirical
+shares and belief vectors are published as read-only tables.
+
+One reward helper, rewards(a, prev, t), scores validated actions
+against the tables at one step or a slice of steps. An episode is
+open-loop (state t is the scaled quarter t, whatever the actions), so
+no caller needs a step loop: training scores each warmup segment and
+each later step with rewards() directly, episode_rewards scores a
+stack of whole action sequences (GA fitness, evaluation and
+trace.jsonl), and reset()/step() remain as the one-action-at-a-time
+reference that test oracles walk. All of them give the same terms bit
+for bit. Each action sequence is validated exactly once:
+validate_action renormalizes, so a second pass could move the last ulp.
 
 State vectors are float64 arrays laid out [rnd, sga, net_income] in
 scaled units; actions and empirical allocations are length-2 simplex
@@ -42,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .data_ingest import FinancialSeries, ScalerParams
 from .errors import ContractError, DataError, DomainError, SequenceError
 from .special_functions import dirichlet_kl
@@ -153,7 +159,9 @@ class BudgetEnv:
         self.reward_config = reward if reward is not None else RewardConfig()
         self.belief_config = belief if belief is not None else BeliefConfig()
         values = series.values
-        self._states = scaler.scale(values)
+        # Read-only (n, 3) scaled quarters: state t is row t.
+        self.states = scaler.scale(values)
+        self.states.flags.writeable = False
         totals = values[1:, 0] + values[1:, 1]
         bad = np.flatnonzero(~(totals > 0))
         if bad.size:
@@ -162,13 +170,15 @@ class BudgetEnv:
         self.empirical = values[1:, :2] / totals[:, None]
         self.empirical.flags.writeable = False
         self._prior = np.array(self.belief_config.prior)
-        # Row t is the belief after step t; an overflow to inf fails dirichlet_kl below.
+        # Read-only (T, 2) beliefs: row t is the belief after step t. An
+        # overflow to inf fails dirichlet_kl below.
         with np.errstate(over="ignore"):
-            self._alphas = np.add.accumulate(
+            self.alphas = np.add.accumulate(
                 np.vstack([self._prior, self.belief_config.confidence * self.empirical])
             )[1:]
-        self._belief_terms = np.empty(len(self._alphas))
-        for t, alpha in enumerate(self._alphas):
+        self.alphas.flags.writeable = False
+        self._belief_terms = np.empty(len(self.alphas))
+        for t, alpha in enumerate(self.alphas):
             try:
                 term = -self.reward_config.lambda2 * dirichlet_kl(alpha, self._prior)
             except OverflowError as exc:  # fsum of concentrations near the float maximum
@@ -188,12 +198,12 @@ class BudgetEnv:
         """Belief after the last step taken; the prior before the first."""
         if not self._t:
             return self._prior.copy()
-        return self._alphas[self._t - 1].copy()
+        return self.alphas[self._t - 1].copy()
 
     def reset(self) -> np.ndarray:
         self._t = 0
         self._prev_action = UNIFORM_ACTION.copy()
-        return self._states[0].copy()
+        return self.states[0].copy()
 
     def step(self, action: np.ndarray) -> StepResult:
         if self._t is None:
@@ -202,15 +212,10 @@ class BudgetEnv:
             raise SequenceError("step() after the episode finished")
         a = validate_action(action)
         t = self._t
-        reward = self._rewards(a, self._prev_action, t)
+        reward = self.rewards(a, self._prev_action, t)
         self._prev_action = a
         self._t = t + 1
-        return StepResult(self._states[self._t].copy(), reward, self.done, a)
-
-    @property
-    def episode_states(self) -> np.ndarray:
-        """The (T, 3) states of one episode in step order: state t is quarter t."""
-        return self._states[:-1].copy()
+        return StepResult(self.states[self._t].copy(), reward, self.done, a)
 
     def episode_rewards(self, actions: np.ndarray) -> tuple[np.ndarray, RewardBreakdown]:
         """Validated actions and per-step rewards of a (..., T, 2) stack of action sequences.
@@ -227,13 +232,15 @@ class BudgetEnv:
             )
         first = np.broadcast_to(UNIFORM_ACTION, (*a.shape[:-2], 1, 2))
         prev = np.concatenate([first, a[..., :-1, :]], axis=-2)
-        return a, self._rewards(a, prev, slice(None))
+        return a, self.rewards(a, prev, slice(None))
 
-    def _rewards(self, a: np.ndarray, prev: np.ndarray, t: int | slice) -> RewardBreakdown:
+    def rewards(self, a: np.ndarray, prev: np.ndarray, t: int | slice) -> RewardBreakdown:
         """The reward terms of validated actions a after prev, at step(s) t of the tables.
 
-        The smoothness norm goes through the (1, 2) @ (2, 1) ddot that
-        np.linalg.norm calls, so one action and a stack give the same bits.
+        a and prev are one (2,) action or stacks whose (..., k, 2) rows
+        line up with the k steps of the slice t. The smoothness norm
+        goes through the (1, 2) @ (2, 1) ddot that np.linalg.norm calls,
+        so one action and a stack give the same bits.
         """
         accuracy = -np.abs(a - self.empirical[t]).sum(axis=-1)
         moves = a - prev
@@ -256,12 +263,12 @@ def write_trace(
 ) -> None:
     """One JSON line per step of the (T, 2) actions and rewards of env.episode_rewards."""
     rows = zip(
-        actions.tolist(), env.empirical.tolist(), env._alphas.tolist(),
+        actions.tolist(), env.empirical.tolist(), env.alphas.tolist(),
         rewards.accuracy_term.tolist(), rewards.smoothness_term.tolist(),
         rewards.belief_term.tolist(), rewards.total.tolist(),
         strict=True,
     )
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for t, (action, empirical, alpha, accuracy, smoothness, belief, total) in enumerate(rows):
             record = {
                 "t": t,

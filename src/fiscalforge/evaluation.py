@@ -107,7 +107,7 @@ def evaluate_policy(
     report and the validated (T, 2) actions; row t is scored against
     ``env.empirical[t]``.
     """
-    actions, rewards = env.episode_rewards(policy.act(env.episode_states))
+    actions, rewards = env.episode_rewards(policy.act(env.states[:-1]))
     if trace_path is not None:
         write_trace(env, actions, rewards, trace_path)
     report = MetricsReport(

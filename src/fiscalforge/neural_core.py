@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ArtifactError, ContractError, NumericError, ShapeError
 
 __all__ = [
@@ -285,7 +286,8 @@ def save_checkpoint(path: str | Path, spec: MlpSpec, params: np.ndarray) -> None
         spec.output_dim,
         params.size,
     )
-    Path(path).write_bytes(header + params.astype("<f8").tobytes())
+    with atomic_open(path, "wb") as fh:
+        fh.write(header + params.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> tuple[MlpSpec, np.ndarray]:
@@ -327,4 +329,5 @@ def export_json(path: str | Path, spec: MlpSpec, params: np.ndarray) -> None:
         "output_head": spec.output_head,
         "params": [float(v) for v in _as_vector(spec, params)],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -108,7 +108,7 @@ def evaluate_population(genomes: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> n
     whatever the actions, so every action of every genome comes from one
     forward_population call and every total from env.episode_totals.
     """
-    return env.episode_totals(forward_population(genomes, spec, env.episode_states))
+    return env.episode_totals(forward_population(genomes, spec, env.states[:-1]))
 
 
 def evaluate_fitness(genome: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> float:

@@ -8,13 +8,25 @@ target copies of all three networks. Exploration is Gaussian noise on
 the actor output, re-projected onto the allocation simplex; the warmup
 phase fills the buffer with uniform-random allocations.
 
-The twin critics and their targets are each one (2, P) stack. An update
+The environment is open-loop (state t is quarter t, whatever the
+actions), so training reads the env's tables and never steps it: the
+step index and the previous action are two locals, and env.rewards
+scores the actions. Warmup runs one episode segment at a time: one
+Dirichlet draw of the segment's actions (the same stream as one draw
+per step), one validation, one rewards call over the segment's slice
+of steps and one block push. After warmup each step is scored alone
+and pushed as a block of one.
+
+The actor and the (2, P) twin critics are views of one flat online
+buffer, and their targets views of one flat target buffer with the
+same layout, so one soft_update tracks all three targets. An update
 runs one forward pass per network, the twin critics as one stacked
 pass: the target actor and the target critics for the regression
 targets, the online critics for their loss, and, on actor steps, the
 actor and critic 1 for the policy gradient. Every gradient is taken
 from the cache of that one pass. The replay buffer is a preallocated
-struct-of-arrays ring, so a minibatch is one index gather per field.
+struct-of-arrays ring, so a push is at most two slice writes per
+field and a minibatch is one index gather per field.
 
 Updates are plain gradient steps so every operation here stays a pure
 function of its arguments; training as a whole is a deterministic
@@ -25,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import BudgetEnv, clip_to_simplex
+from .environment import UNIFORM_ACTION, BudgetEnv, clip_to_simplex, validate_action
 from .errors import ContractError, NumericError, ShapeError
 from .neural_core import (
     LINEAR,
@@ -79,25 +91,34 @@ class ReplayBuffer:
         if capacity < 1:
             raise ContractError("capacity must be positive")
         self.capacity = capacity
-        self._states = np.empty((capacity, STATE_DIM))
-        self._actions = np.empty((capacity, ACTION_DIM))
-        self._rewards = np.empty(capacity)
-        self._next_states = np.empty((capacity, STATE_DIM))
-        self._dones = np.empty(capacity, dtype=bool)
+        # states, actions, rewards, next_states, dones
+        self._fields = (
+            np.empty((capacity, STATE_DIM)),
+            np.empty((capacity, ACTION_DIM)),
+            np.empty(capacity),
+            np.empty((capacity, STATE_DIM)),
+            np.empty(capacity, dtype=bool),
+        )
         self._size = 0
         self._cursor = 0
 
-    def push(self, state: np.ndarray, action: np.ndarray, reward: float,
-             next_state: np.ndarray, done: bool) -> None:
-        i = self._cursor
-        self._states[i] = state
-        self._actions[i] = action
-        self._rewards[i] = reward
-        self._next_states[i] = next_state
-        self._dones[i] = done
-        self._cursor = (i + 1) % self.capacity
-        if self._size < self.capacity:
-            self._size += 1
+    def push(self, states: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
+             next_states: np.ndarray, dones: np.ndarray) -> None:
+        """Append a (k, ...) block of transitions in order, as k single pushes would.
+
+        A block longer than the capacity keeps only its last capacity rows.
+        """
+        k = len(rewards)
+        skip = max(k - self.capacity, 0)
+        start = (self._cursor + skip) % self.capacity
+        rows = k - skip
+        first = min(rows, self.capacity - start)
+        for dst, src in zip(self._fields, (states, actions, rewards, next_states, dones)):
+            dst[start:start + first] = src[skip:skip + first]
+            if first < rows:  # the block wraps past the end of the ring
+                dst[:rows - first] = src[skip + first:]
+        self._cursor = (start + rows) % self.capacity
+        self._size = min(self._size + rows, self.capacity)
 
     def __len__(self) -> int:
         return self._size
@@ -107,8 +128,7 @@ class ReplayBuffer:
         if self._size == 0:
             raise ContractError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=batch_size)
-        return (self._states[idx], self._actions[idx], self._rewards[idx],
-                self._next_states[idx], self._dones[idx])
+        return tuple(field[idx] for field in self._fields)
 
 
 @dataclass(frozen=True)
@@ -257,51 +277,86 @@ def soft_update(target_params: np.ndarray, online_params: np.ndarray, tau: float
 
 
 def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
-    """Run episodes back-to-back until the timestep budget is spent."""
+    """Run episodes back-to-back until the timestep budget is spent.
+
+    A NumericError raised in an update, or in the exploration action
+    after it, is re-raised naming the update's index (counted from 1)
+    and the network, critic or actor, that failed.
+    """
     a_spec = actor_spec()
     c_spec = critic_spec()
-    actor = init_params(a_spec, config.seed)
-    critics = np.stack([init_params(c_spec, config.seed + k) for k in (1, 2)])
-    actor_t, critics_t = actor.copy(), critics.copy()
+    n_actor = a_spec.param_count()
+
+    def split(flat):
+        """The actor and (2, P) twin-critic views of a flat parameter buffer."""
+        return flat[:n_actor], flat[n_actor:].reshape(2, -1)
+
+    online = np.concatenate([init_params(a_spec, config.seed)]
+                            + [init_params(c_spec, config.seed + k) for k in (1, 2)])
+    target = online.copy()
+    actor, critics = split(online)
+    actor_t, critics_t = split(target)
     rng = np.random.default_rng(config.seed + 3)
 
     buffer = ReplayBuffer(config.buffer_capacity)
+    states = env.states
+    n_steps = len(env.empirical)
     episode_rewards: list[float] = []
     episode_total = 0.0
-    n_critic_updates = 0
+    n_updates = 0
+    network = "actor"  # the network a NumericError is charged to
+    warmup = min(config.warmup_steps, config.total_timesteps)
 
-    state = env.reset()
-    for step in range(1, config.total_timesteps + 1):
-        if step <= config.warmup_steps:
-            action = rng.dirichlet([1.0, 1.0])
-        else:
-            noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
-            action = clip_to_simplex(forward_actor(actor, a_spec, state) + noise)
-        result = env.step(action)
-        buffer.push(state, result.action, result.reward.total,
-                    result.next_state, result.done)
-        episode_total += result.reward.total
-        state = result.next_state
-        if result.done:
-            episode_rewards.append(float(episode_total))
-            episode_total = 0.0
-            state = env.reset()
+    t, prev = 0, UNIFORM_ACTION
+    step = 0
+    try:
+        while step < config.total_timesteps:
+            if step < warmup:
+                # The rest of the episode or of the warmup, as one block.
+                k = min(warmup - step, n_steps - t)
+                a = validate_action(rng.dirichlet([1.0, 1.0], size=k))
+                prevs = np.concatenate([prev[None], a[:-1]])
+                totals = env.rewards(a, prevs, slice(t, t + k)).total
+            else:
+                k = 1
+                noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
+                action = clip_to_simplex(forward_actor(actor, a_spec, states[t]) + noise)
+                a = validate_action(action)
+                totals = env.rewards(a, prev, t).total[None]
+                a = a[None]
+            buffer.push(states[t:t + k], a, totals, states[t + 1:t + k + 1],
+                        np.arange(t + 1, t + k + 1) == n_steps)
+            for total in totals.tolist():
+                episode_total += total
+            step += k
+            t, prev = t + k, a[-1]
+            if t == n_steps:
+                episode_rewards.append(episode_total)
+                episode_total = 0.0
+                t, prev = 0, UNIFORM_ACTION
 
-        if step <= config.warmup_steps or len(buffer) < config.batch_size:
-            continue
+            if step <= config.warmup_steps or len(buffer) < config.batch_size:
+                continue
 
-        states, actions, rewards, next_states, dones = buffer.sample(config.batch_size, rng)
-        targets = compute_targets(
-            actor_t, critics_t, a_spec, c_spec, rewards, next_states, dones, config, rng,
-        )
+            n_updates += 1
+            network = "critic"
+            batch_states, batch_actions, rewards, next_states, dones = buffer.sample(
+                config.batch_size, rng
+            )
+            targets = compute_targets(
+                actor_t, critics_t, a_spec, c_spec, rewards, next_states, dones, config, rng,
+            )
+            critics[:] = critic_update(critics, c_spec, batch_states, batch_actions, targets,
+                                       config.learning_rate)[0]
+            network = "actor"
 
-        critics, _ = critic_update(critics, c_spec, states, actions, targets, config.learning_rate)
-        n_critic_updates += 1
-
-        if n_critic_updates % config.actor_delay == 0:
-            actor = actor_update(actor, a_spec, critics[0], c_spec, states, config.learning_rate)
-            actor_t = soft_update(actor_t, actor, config.tau)
-            critics_t = soft_update(critics_t, critics, config.tau)
+            if n_updates % config.actor_delay == 0:
+                actor[:] = actor_update(actor, a_spec, critics[0], c_spec, batch_states,
+                                        config.learning_rate)
+                target = soft_update(target, online, config.tau)
+                actor_t, critics_t = split(target)
+    except NumericError as exc:
+        raise NumericError(f"update {n_updates}, {network}: {exc}") from exc
 
     return TrainedPolicy(
         spec=a_spec,

@@ -90,13 +90,14 @@ def test_traced_child_run_counts(tmp_path):
     # One CSV parse and one env per split, however many stages read them.
     assert counts["data_ingest.load_series.calls"] == 1
     assert counts["environment.build.calls"] == 2
-    # The GA and held-out evaluation score whole episodes from the env
-    # tables: only the summary's pre- and post-refinement fitness call
-    # evaluate_fitness, and only training steps the env and calls
-    # forward_actor, once per step past warmup for its exploration action.
+    # Training, the GA and held-out evaluation all score from the env
+    # tables, so nothing steps the env: only the summary's pre- and
+    # post-refinement fitness call evaluate_fitness, and only training
+    # calls forward_actor, once per step past warmup for its exploration
+    # action.
     assert counts["quantum_ga.evaluate_fitness.calls"] == 2
     td3 = TINY_CONFIG["td3"]
-    assert counts["environment.step.calls"] == td3["total_timesteps"]
+    assert counts["environment.step.calls"] == 0
     assert counts["neural_core.forward_actor.calls"] == (
         td3["total_timesteps"] - td3["warmup_steps"]
     )

@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, artifacts, determinism."""
 
 import copy
+import errno
 import json
 import math
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -470,6 +472,70 @@ class TestPipelineCommand:
 
 
 # The README's config example, shrunk to a tiny run: 30 steps, a 1x2 GA.
+class _TornFile:
+    """A file handle that writes half of its first chunk, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device (injected)")
+
+
+def _bytes_or_none(path):
+    return path.read_bytes() if path.exists() else None
+
+
+def test_failed_write_leaves_every_artifact_whole(tmp_path, monkeypatch):
+    """A rerun whose n-th artifact write fails part-way, for every n: the
+    failed file is as it was when the write began, every file holds the
+    old or the new run's whole bytes, and no temporary file is left."""
+    from fiscalforge import atomic
+
+    config = _write_config(tmp_path, {"td3": {"total_timesteps": 150},
+                                      "ga": {"generations": 1, "population_size": 2}})
+    runs = {}
+    for seed in (7, 8):
+        out = tmp_path / f"seed{seed}"
+        assert main(["pipeline", "--config", str(config), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        runs[seed] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(runs[7]) == 15
+
+    for fail_at in range(1, 16):
+        out = tmp_path / f"torn{fail_at}"
+        shutil.copytree(tmp_path / "seed7", out)
+        opened, target = [], {}
+
+        def torn_open(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            opened.append(file)
+            if len(opened) != fail_at:
+                return fh
+            name = file.name[1:].rsplit(".", 2)[0]  # ".<name>.<pid>.tmp"
+            target.update(name=name, before=_bytes_or_none(out / name))
+            return _TornFile(fh)
+
+        with monkeypatch.context() as m:
+            m.setattr(atomic, "open", torn_open, raising=False)
+            with pytest.raises(OSError, match="injected"):
+                main(["pipeline", "--config", str(config), "--seed", "8", "--out", str(out)])
+        assert len(opened) == fail_at
+        names = {p.name for p in out.iterdir()}
+        assert names <= set(runs[7]), names - set(runs[7])
+        assert _bytes_or_none(out / target["name"]) == target["before"]
+        for name in names:
+            assert (out / name).read_bytes() in (runs[7][name], runs[8][name]), name
+
+
 README_CONFIG = {
     "data": {"path": str(FIXTURE_CSV), "train_fraction": 0.8},
     "environment": {"lambda1": 0.1, "lambda2": 0.01, "confidence": 1.0, "prior": [5.0, 3.0]},

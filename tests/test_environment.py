@@ -350,3 +350,31 @@ class TestStepTables:
             assert result.next_state.tolist() == states[t + 1]
             np.testing.assert_array_equal(result.action, a)
             assert result.done == (t == len(series) - 2)
+
+
+class TestPublishedTables:
+    def test_tables_match_the_plain_python_oracle(self):
+        series, reward, belief = make_series(BASIC_ROWS), RewardConfig(), BeliefConfig()
+        env = BudgetEnv(series, _scaler(), reward, belief)
+        states, empirical, alphas, _ = oracle_tables(series, _scaler(), reward, belief)
+        assert env.states.tolist() == states
+        assert env.empirical.tolist() == empirical
+        assert env.alphas.tolist() == alphas
+
+    @pytest.mark.parametrize("table", ["states", "empirical", "alphas"])
+    def test_tables_are_read_only(self, table):
+        env = _env(BASIC_ROWS)
+        with pytest.raises(ValueError):
+            getattr(env, table)[0, 0] = 1.0
+
+    def test_rewards_of_a_slice_equal_each_step(self):
+        """One rewards call over steps 1..2 gives the terms of two single-step calls."""
+        env = _env(BASIC_ROWS, RewardConfig(0.3, 0.02))
+        a = validate_action(np.array([[0.2, 0.8], [0.9, 0.1]]))
+        prev = np.array([[0.6, 0.4], [0.2, 0.8]])
+        block = env.rewards(a, prev, slice(1, 3))
+        for i, t in enumerate((1, 2)):
+            single = env.rewards(a[i], prev[i], t)
+            assert (block.accuracy_term[i], block.smoothness_term[i], block.belief_term[i],
+                    block.total[i]) == (single.accuracy_term, single.smoothness_term,
+                                        single.belief_term, single.total)

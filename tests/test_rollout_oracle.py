@@ -161,7 +161,7 @@ def test_saturating_scale_gives_exact_zero_shares():
     spec = MlpSpec(3, ACTOR_HIDDEN, 2, "simplex")
     env = BudgetEnv(make_series([(1, 2, -5), (10, 20, 0), (40, 30, 10), (60, 50, 20)]), SCALER)
     genome = SATURATING_SCALE * init_params(spec, 11)
-    assert np.any(forward_population(genome[None], spec, env.episode_states) == 0.0)
+    assert np.any(forward_population(genome[None], spec, env.states[:-1]) == 0.0)
 
 
 def _edges(strength):

@@ -4,9 +4,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fiscalforge import td3_trainer
 from fiscalforge.data_ingest import chrono_split, fit_scaler, load_series
-from fiscalforge.environment import BudgetEnv, clip_to_simplex
+from fiscalforge.environment import BudgetEnv, clip_to_simplex, validate_action
 from fiscalforge.errors import ContractError, NumericError, ShapeError
 from fiscalforge.neural_core import (
     MlpSpec,
@@ -134,9 +137,15 @@ class TestSmoothedTargetAction:
         np.testing.assert_allclose(got[0], raw / raw.sum(), atol=1e-15)
 
 
+def _block(first, k):
+    """Transitions first .. first + k - 1: state i, reward -i, next state i + 1, done when 3 | i."""
+    i = np.arange(first, first + k, dtype=np.float64)
+    return (np.repeat(i[:, None], 3, axis=1), np.full((k, 2), 0.5), -i,
+            np.repeat(i[:, None] + 1.0, 3, axis=1), i % 3 == 0)
+
+
 def _push(buf, i):
-    buf.push(np.full(3, float(i)), np.array([0.5, 0.5]), float(-i),
-             np.full(3, float(i + 1)), i % 3 == 0)
+    buf.push(*_block(i, 1))
 
 
 class TestReplayBuffer:
@@ -175,6 +184,37 @@ class TestReplayBuffer:
     def test_empty_sample_rejected(self):
         with pytest.raises(ContractError):
             ReplayBuffer(4).sample(2, np.random.default_rng(0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(capacity=st.integers(1, 6), before=st.integers(0, 10), k=st.integers(0, 15))
+    def test_block_push_equals_single_pushes(self, capacity, before, k):
+        """A (k, ...) block lands as k single pushes would, a block longer than the ring too."""
+        single, block = ReplayBuffer(capacity), ReplayBuffer(capacity)
+        for buf in (single, block):
+            for i in range(before):
+                _push(buf, i)
+        for i in range(before, before + k):
+            _push(single, i)
+        block.push(*_block(before, k))
+        # Then one more push each, so the cursors must agree too.
+        for check in range(2):
+            assert len(block) == len(single) == min(before + k + check, capacity)
+            if len(single):
+                for got, want in zip(block.sample(200, np.random.default_rng(check)),
+                                     single.sample(200, np.random.default_rng(check))):
+                    np.testing.assert_array_equal(got, want)
+            _push(single, before + k)
+            _push(block, before + k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 777])
+def test_batched_dirichlet_is_the_single_draw_stream(k):
+    """Warmup draws a segment's k actions at once: the same rows as k single
+    draws, leaving the generator in the same state."""
+    batched, single = np.random.default_rng(17), np.random.default_rng(17)
+    block = batched.dirichlet([1.0, 1.0], size=k)
+    np.testing.assert_array_equal(block, [single.dirichlet([1.0, 1.0]) for _ in range(k)])
+    assert batched.bit_generator.state == single.bit_generator.state
 
 
 def _batch(rng, n=6):
@@ -312,21 +352,6 @@ def _small_env():
     return BudgetEnv(series, fit_scaler(series))
 
 
-class _ActionRecorder:
-    """Wraps an environment and records every action it receives."""
-
-    def __init__(self, env):
-        self.env = env
-        self.actions = []
-
-    def reset(self):
-        return self.env.reset()
-
-    def step(self, action):
-        self.actions.append(np.array(action, dtype=np.float64))
-        return self.env.step(action)
-
-
 class TestTrain:
     def test_warmup_only_run_leaves_actor_at_init(self):
         cfg = TD3Config(total_timesteps=100, warmup_steps=100, seed=1)
@@ -343,11 +368,18 @@ class TestTrain:
         for key in p1.aux_params:
             np.testing.assert_array_equal(p1.aux_params[key], p2.aux_params[key])
 
-    def test_all_actions_on_simplex(self):
-        recorder = _ActionRecorder(_small_env())
-        train(recorder, TD3Config(total_timesteps=300, warmup_steps=40, seed=2))
-        assert len(recorder.actions) == 300
-        for a in recorder.actions:
+    def test_all_actions_on_simplex(self, monkeypatch):
+        """Every action row training takes, as drawn, before validate_action renormalizes it."""
+        taken = []
+
+        def recording(actions):
+            taken.extend(np.array(actions, dtype=np.float64).reshape(-1, 2))
+            return validate_action(actions)
+
+        monkeypatch.setattr(td3_trainer, "validate_action", recording)
+        train(_small_env(), TD3Config(total_timesteps=300, warmup_steps=40, seed=2))
+        assert len(taken) == 300
+        for a in taken:
             assert abs(a.sum() - 1.0) <= 1e-9
             assert np.all(a >= 0.0)
 
@@ -484,7 +516,73 @@ class TestFusedTrainOracle:
         assert list(policy.episode_rewards) == rewards
 
 
+_EPISODE = 7  # steps per episode of _small_env's 8 quarters
+
+
+@st.composite
+def _small_configs(draw):
+    total = draw(st.integers(1, 60))
+    capacity = draw(st.integers(1, 40))
+    warmup = draw(st.one_of(
+        st.just(0),
+        st.integers(1, _EPISODE - 1),
+        st.integers(1, 4).map(lambda m: m * _EPISODE),
+        st.integers(capacity + 1, capacity + 20),
+        st.integers(total, total + 10),
+    ))
+    return TD3Config(
+        total_timesteps=total, warmup_steps=warmup, buffer_capacity=capacity,
+        batch_size=draw(st.integers(1, min(capacity, 8))),
+        actor_delay=draw(st.integers(1, 3)), seed=draw(st.integers(0, 1000)),
+    )
+
+
+class TestTrainOracleProperty:
+    """train against _oracle_train's step-by-step loop over drawn small configs."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=_small_configs())
+    @example(config=TD3Config(total_timesteps=40, warmup_steps=0, buffer_capacity=12,
+                              batch_size=4, seed=1))
+    @example(config=TD3Config(total_timesteps=40, warmup_steps=5, buffer_capacity=12,
+                              batch_size=4, seed=2))
+    @example(config=TD3Config(total_timesteps=40, warmup_steps=2 * _EPISODE,
+                              buffer_capacity=12, batch_size=4, seed=3))
+    @example(config=TD3Config(total_timesteps=40, warmup_steps=30, buffer_capacity=9,
+                              batch_size=4, actor_delay=1, seed=4))
+    @example(config=TD3Config(total_timesteps=20, warmup_steps=20, buffer_capacity=12,
+                              batch_size=4, seed=5))
+    @example(config=TD3Config(total_timesteps=20, warmup_steps=33, buffer_capacity=12,
+                              batch_size=4, seed=6))
+    def test_bit_identical_to_step_by_step_loop(self, config):
+        policy = train(_small_env(), config)
+        actor, aux, rewards = _oracle_train(_small_env(), config)
+        np.testing.assert_array_equal(policy.params, actor)
+        names = ("critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
+        for name, expected in zip(names, aux):
+            np.testing.assert_array_equal(policy.aux_params[name], expected, err_msg=name)
+        assert list(policy.episode_rewards) == rewards
+
+
 class TestNumericGuards:
+    def test_exploding_learning_rate_names_the_update_and_network(self):
+        cfg = TD3Config(total_timesteps=200, warmup_steps=20, batch_size=8,
+                        buffer_capacity=50, learning_rate=1e300, seed=4)
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=r"^update 2, critic: critic loss diverged"
+        ):
+            train(_small_env(), cfg)
+
+    def test_actor_failure_names_the_actor(self, monkeypatch):
+        def failing(*args):
+            raise NumericError("actor gradient is non-finite")
+
+        monkeypatch.setattr(td3_trainer, "actor_update", failing)
+        cfg = TD3Config(total_timesteps=50, warmup_steps=10, batch_size=4, actor_delay=3,
+                        seed=4)
+        with pytest.raises(NumericError, match=r"^update 3, actor: actor gradient"):
+            train(_small_env(), cfg)
+
     def test_non_finite_critic_loss(self):
         states, actions = _batch(np.random.default_rng(0))
         with pytest.raises(NumericError):
