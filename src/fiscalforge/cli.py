@@ -59,8 +59,7 @@ __all__ = ["RunConfig", "main", "entrypoint"]
 
 log = logging.getLogger("fiscalforge")
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
-               "debug": logging.DEBUG, "trace": 5}
+_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 ACTOR_CKPT = "actor.ckpt"
 REFINED_CKPT = "refined_actor.ckpt"
@@ -371,10 +370,7 @@ _COMMANDS = {
 
 
 def _setup_logging() -> None:
-    logging.addLevelName(5, "TRACE")
-    level = _LOG_LEVELS.get(os.environ.get("FISCALFORGE_LOG", "error").lower())
-    if level is None:
-        level = logging.ERROR
+    level = _LOG_LEVELS.get(os.environ.get("FISCALFORGE_LOG", "error").lower(), logging.ERROR)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 

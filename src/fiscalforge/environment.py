@@ -27,13 +27,14 @@ shares and belief vectors are published as read-only tables.
 One reward helper, rewards(a, prev, t), scores validated actions
 against the tables at one step or a slice of steps. An episode is
 open-loop (state t is the scaled quarter t, whatever the actions), so
-no caller needs a step loop: training scores each warmup segment and
-each later step with rewards() directly, episode_rewards scores a
-stack of whole action sequences (GA fitness, evaluation and
-trace.jsonl), and reset()/step() remain as the one-action-at-a-time
-reference that test oracles walk. All of them give the same terms bit
-for bit. Each action sequence is validated exactly once:
-validate_action renormalizes, so a second pass could move the last ulp.
+no caller needs a step loop: training scores each block of steps (a
+warmup segment or one actor step) with one rewards() call over its
+slice, episode_rewards scores a stack of whole action sequences (GA
+fitness, evaluation and trace.jsonl), and reset()/step() remain as
+the one-action-at-a-time reference that test oracles walk. All of
+them give the same terms bit for bit. Each action sequence is
+validated exactly once: validate_action renormalizes, so a second
+pass could move the last ulp.
 
 State vectors are float64 arrays laid out [rnd, sga, net_income] in
 scaled units; actions and empirical allocations are length-2 simplex

@@ -4,8 +4,7 @@ Two network flavours share one flat float64 parameter layout (weights
 then biases, layer by layer): an allocation actor whose output head is
 a normalized-exponential map onto the simplex, and a scalar critic with
 a linear head. The flat layout doubles as the genome the evolutionary
-refiner crosses over and mutates, so flatten/unflatten must round-trip
-losslessly.
+refiner crosses over and mutates; unflatten gives its per-layer views.
 
 Hidden activations are tanh. Everything is float64 and pure: forward
 and backward are functions of (params, input) only.
@@ -46,7 +45,6 @@ __all__ = [
     "forward_actor",
     "forward_population",
     "vjp_batch",
-    "flatten",
     "unflatten",
     "save_checkpoint",
     "load_checkpoint",
@@ -116,15 +114,6 @@ def unflatten(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.nd
     lead = params.shape[:-1]
     return [(params[..., w].reshape(*lead, *shape), params[..., b])
             for w, b, shape in spec._layout]
-
-
-def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Inverse of unflatten: concatenate W then b per layer."""
-    chunks = []
-    for w, b in layers:
-        chunks.append(np.asarray(w, dtype=np.float64).ravel())
-        chunks.append(np.asarray(b, dtype=np.float64).ravel())
-    return np.concatenate(chunks)
 
 
 def _forward_cached(params, spec, x):

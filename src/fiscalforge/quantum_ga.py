@@ -112,7 +112,7 @@ def evaluate_population(genomes: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> n
 
 
 def evaluate_fitness(genome: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> float:
-    """Cumulative reward of one greedy (noise-free) episode from reset."""
+    """Cumulative reward of one greedy (noise-free) episode: evaluate_population of one row."""
     return float(evaluate_population(np.asarray(genome)[None], spec, env)[0])
 
 

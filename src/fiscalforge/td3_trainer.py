@@ -11,11 +11,11 @@ phase fills the buffer with uniform-random allocations.
 The environment is open-loop (state t is quarter t, whatever the
 actions), so training reads the env's tables and never steps it: the
 step index and the previous action are two locals, and env.rewards
-scores the actions. Warmup runs one episode segment at a time: one
-Dirichlet draw of the segment's actions (the same stream as one draw
-per step), one validation, one rewards call over the segment's slice
-of steps and one block push. After warmup each step is scored alone
-and pushed as a block of one.
+scores the actions. Each pass of the loop takes a block of steps:
+during warmup the rest of the episode segment, drawn as one Dirichlet
+block (the same stream as one draw per step), and after it one actor
+step. Every block goes through one validation, one rewards call over
+its slice of steps and one push.
 
 The actor and the (2, P) twin critics are views of one flat online
 buffer, and their targets views of one flat target buffer with the
@@ -24,9 +24,9 @@ runs one forward pass per network, the twin critics as one stacked
 pass: the target actor and the target critics for the regression
 targets, the online critics for their loss, and, on actor steps, the
 actor and critic 1 for the policy gradient. Every gradient is taken
-from the cache of that one pass. The replay buffer is a preallocated
-struct-of-arrays ring, so a push is at most two slice writes per
-field and a minibatch is one index gather per field.
+from the cache of that one pass. The replay ring holds only each
+transition's step index, action and reward; a minibatch reads its
+states, next states and episode ends from the env's tables.
 
 Updates are plain gradient steps so every operation here stays a pure
 function of its arguments; training as a whole is a deterministic
@@ -81,7 +81,7 @@ def critic_spec() -> MlpSpec:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions, oldest evicted first.
+    """Fixed-capacity ring of (step index, action, reward) transitions, oldest evicted first.
 
     Each field is one preallocated array with a row per slot; the
     pages are touched only as the ring fills.
@@ -91,19 +91,13 @@ class ReplayBuffer:
         if capacity < 1:
             raise ContractError("capacity must be positive")
         self.capacity = capacity
-        # states, actions, rewards, next_states, dones
-        self._fields = (
-            np.empty((capacity, STATE_DIM)),
-            np.empty((capacity, ACTION_DIM)),
-            np.empty(capacity),
-            np.empty((capacity, STATE_DIM)),
-            np.empty(capacity, dtype=bool),
-        )
+        # steps, actions, rewards
+        self._fields = (np.empty(capacity, dtype=np.intp), np.empty((capacity, ACTION_DIM)),
+                        np.empty(capacity))
         self._size = 0
         self._cursor = 0
 
-    def push(self, states: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
-             next_states: np.ndarray, dones: np.ndarray) -> None:
+    def push(self, steps: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> None:
         """Append a (k, ...) block of transitions in order, as k single pushes would.
 
         A block longer than the capacity keeps only its last capacity rows.
@@ -113,7 +107,7 @@ class ReplayBuffer:
         start = (self._cursor + skip) % self.capacity
         rows = k - skip
         first = min(rows, self.capacity - start)
-        for dst, src in zip(self._fields, (states, actions, rewards, next_states, dones)):
+        for dst, src in zip(self._fields, (steps, actions, rewards)):
             dst[start:start + first] = src[skip:skip + first]
             if first < rows:  # the block wraps past the end of the ring
                 dst[:rows - first] = src[skip + first:]
@@ -124,7 +118,7 @@ class ReplayBuffer:
         return self._size
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        """(states, actions, rewards, next_states, dones) of uniform draws."""
+        """(steps, actions, rewards) of uniform draws."""
         if self._size == 0:
             raise ContractError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=batch_size)
@@ -314,18 +308,15 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
             if step < warmup:
                 # The rest of the episode or of the warmup, as one block.
                 k = min(warmup - step, n_steps - t)
-                a = validate_action(rng.dirichlet([1.0, 1.0], size=k))
-                prevs = np.concatenate([prev[None], a[:-1]])
-                totals = env.rewards(a, prevs, slice(t, t + k)).total
+                a = rng.dirichlet([1.0, 1.0], size=k)
             else:
                 k = 1
                 noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
-                action = clip_to_simplex(forward_actor(actor, a_spec, states[t]) + noise)
-                a = validate_action(action)
-                totals = env.rewards(a, prev, t).total[None]
-                a = a[None]
-            buffer.push(states[t:t + k], a, totals, states[t + 1:t + k + 1],
-                        np.arange(t + 1, t + k + 1) == n_steps)
+                a = clip_to_simplex(forward_actor(actor, a_spec, states[t]) + noise)[None]
+            a = validate_action(a)
+            prevs = np.concatenate([prev[None], a[:-1]])
+            totals = env.rewards(a, prevs, slice(t, t + k)).total
+            buffer.push(np.arange(t, t + k), a, totals)
             for total in totals.tolist():
                 episode_total += total
             step += k
@@ -340,11 +331,11 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
 
             n_updates += 1
             network = "critic"
-            batch_states, batch_actions, rewards, next_states, dones = buffer.sample(
-                config.batch_size, rng
-            )
+            ts, batch_actions, rewards = buffer.sample(config.batch_size, rng)
+            batch_states, next_states = states[ts], states[ts + 1]
             targets = compute_targets(
-                actor_t, critics_t, a_spec, c_spec, rewards, next_states, dones, config, rng,
+                actor_t, critics_t, a_spec, c_spec, rewards, next_states, ts + 1 == n_steps,
+                config, rng,
             )
             critics[:] = critic_update(critics, c_spec, batch_states, batch_actions, targets,
                                        config.learning_rate)[0]

@@ -4,7 +4,10 @@ import copy
 import errno
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fiscalforge
 from fiscalforge.cli import load_run_config, main
 from fiscalforge.errors import ConfigError
 from fiscalforge.quantum_ga import PERTURBATION_BINS
@@ -209,6 +213,24 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 1
         assert "batch_size 64 exceeds buffer_capacity 16" in capsys.readouterr().err
         assert not (tmp_path / "out" / "actor.ckpt").exists()
+
+    @pytest.mark.parametrize("level", [None, "info"])
+    def test_info_log_level_reports_training(self, tmp_path, level):
+        """FISCALFORGE_LOG=info logs the training budget to stderr; the default does not.
+
+        A fresh process, since logging is configured once per process.
+        """
+        config = _write_config(tmp_path, {"td3": {"total_timesteps": 10, "warmup_steps": 5}})
+        env = {k: v for k, v in os.environ.items() if k != "FISCALFORGE_LOG"}
+        env["PYTHONPATH"] = str(Path(fiscalforge.__file__).resolve().parents[1])
+        if level is not None:
+            env["FISCALFORGE_LOG"] = level
+        done = subprocess.run(
+            [sys.executable, "-m", "fiscalforge.cli", "train", "--config", str(config)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        logged = "INFO fiscalforge: training for 10 timesteps" in done.stderr
+        assert logged == (level == "info"), done.stderr
 
     def test_history_lines_parse(self, tmp_path):
         config = _write_config(tmp_path)

@@ -138,10 +138,9 @@ class TestSmoothedTargetAction:
 
 
 def _block(first, k):
-    """Transitions first .. first + k - 1: state i, reward -i, next state i + 1, done when 3 | i."""
-    i = np.arange(first, first + k, dtype=np.float64)
-    return (np.repeat(i[:, None], 3, axis=1), np.full((k, 2), 0.5), -i,
-            np.repeat(i[:, None] + 1.0, 3, axis=1), i % 3 == 0)
+    """Transitions first .. first + k - 1: step i, action (i, 1), reward -i."""
+    i = np.arange(first, first + k)
+    return i, np.stack([i, np.ones(k)], axis=1), -i.astype(np.float64)
 
 
 def _push(buf, i):
@@ -155,11 +154,10 @@ class TestReplayBuffer:
             _push(buf, i)
         assert len(buf) == 5
         # 500 seeded draws over 5 rows: each slot is drawn, none outside.
-        states, _, rewards, next_states, dones = buf.sample(500, np.random.default_rng(0))
-        assert sorted(set(states[:, 0].tolist())) == [3.0, 4.0, 5.0, 6.0, 7.0]
-        np.testing.assert_array_equal(rewards, -states[:, 0])
-        np.testing.assert_array_equal(next_states[:, 0], states[:, 0] + 1.0)
-        np.testing.assert_array_equal(dones, states[:, 0] % 3 == 0)
+        steps, actions, rewards = buf.sample(500, np.random.default_rng(0))
+        assert sorted(set(steps.tolist())) == [3, 4, 5, 6, 7]
+        np.testing.assert_array_equal(rewards, -steps)
+        np.testing.assert_array_equal(actions[:, 0], steps)
 
     def test_size_never_exceeds_capacity(self):
         buf = ReplayBuffer(capacity=3)
@@ -175,11 +173,10 @@ class TestReplayBuffer:
         b = buf.sample(8, np.random.default_rng(5))
         assert a[2].tolist() == b[2].tolist()
         # Each gathered row is one whole transition.
-        states, actions, rewards, next_states, dones = a
-        np.testing.assert_array_equal(states[:, 0], -rewards)
-        np.testing.assert_array_equal(next_states, states + 1.0)
-        np.testing.assert_array_equal(dones, (-rewards) % 3 == 0)
-        assert actions.shape == (8, 2)
+        steps, actions, rewards = a
+        assert steps.dtype == np.intp
+        np.testing.assert_array_equal(steps, -rewards)
+        np.testing.assert_array_equal(actions, np.stack([steps, np.ones(8)], axis=1))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ContractError):
@@ -554,6 +551,9 @@ class TestTrainOracleProperty:
                               batch_size=4, seed=5))
     @example(config=TD3Config(total_timesteps=20, warmup_steps=33, buffer_capacity=12,
                               batch_size=4, seed=6))
+    # Each warmup segment of 7 steps is a block longer than the 5-row ring.
+    @example(config=TD3Config(total_timesteps=30, warmup_steps=2 * _EPISODE,
+                              buffer_capacity=5, batch_size=4, seed=7))
     def test_bit_identical_to_step_by_step_loop(self, config):
         policy = train(_small_env(), config)
         actor, aux, rewards = _oracle_train(_small_env(), config)
