@@ -370,8 +370,19 @@ _COMMANDS = {
 
 
 def _setup_logging() -> None:
+    """Send the fiscalforge logger to the current stderr at FISCALFORGE_LOG's level.
+
+    Done afresh on every main() call, with the logger's own handler: the
+    root logger's basicConfig does nothing once any handler is installed.
+    """
     level = _LOG_LEVELS.get(os.environ.get("FISCALFORGE_LOG", "error").lower(), logging.ERROR)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    for old in log.handlers[:]:
+        log.removeHandler(old)
+    log.addHandler(handler)
+    log.setLevel(level)
+    log.propagate = False
 
 
 def main(argv: list[str] | None = None) -> int:

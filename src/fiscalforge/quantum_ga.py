@@ -30,6 +30,18 @@ one-genome case.
 The best individual ever seen is carried forward unmodified each
 generation, so the best fitness can never regress below the input
 policy's own score.
+
+The two operators never branch per gene on their random masks: a branch
+on a random mask is mispredicted on a large share of the genes (about
+half of them for crossover's even draw). Crossover selects bits: with m all ones where
+the mask picks parent a and zero elsewhere, the child's int64 view is
+b ^ ((a ^ b) & m), which copies every bit of the chosen parent exactly
+as a per-gene select would, -0.0, NaN payloads, infinities and
+subnormals included. Mutation turns its mask into the ascending list of
+selected flat indices, the order boolean indexing visits them in, and
+adds the offsets at those indices. Both make the same rng draws in the
+same order as the masked forms, so every genome and fitness keeps its
+bits.
 """
 
 import math
@@ -135,7 +147,11 @@ def uniform_crossover(
     if parent_a.shape != parent_b.shape:
         raise ShapeError("parents have different genome lengths")
     mask = rng.random(parent_a.shape) < 0.5
-    return np.where(mask, parent_a, parent_b)
+    a, b = parent_a.view(np.int64), parent_b.view(np.int64)
+    child = np.negative(mask, dtype=np.int64)  # -1 (all bits set) picks parent_a
+    child &= a ^ b
+    child ^= b
+    return child.view(np.float64)
 
 
 def quantum_mutate(
@@ -151,13 +167,12 @@ def quantum_mutate(
     offsets.
     """
     genome = np.asarray(genome, dtype=np.float64).copy()
-    mask = rng.random(genome.shape) < config.mutation_rate
-    count = int(mask.sum())
-    if count == 0:
+    selected = np.flatnonzero(rng.random(genome.shape) < config.mutation_rate)
+    if selected.size == 0:
         return genome, np.empty(0)
-    dtheta = rng.normal(0.0, config.rotation_sigma, size=count)
+    dtheta = rng.normal(0.0, config.rotation_sigma, size=selected.size)
     deltas = config.mutation_strength * np.sin(dtheta)
-    genome[mask] += deltas
+    genome.reshape(-1)[selected] += deltas  # a view: the copy is C-contiguous
     return genome, deltas
 
 

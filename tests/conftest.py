@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fiscalforge.data_ingest import FinancialSeries
@@ -35,6 +36,28 @@ def oracle_tables(series, scaler, reward, belief):
         alphas.append(alpha)
         belief_terms.append(-reward.lambda2 * dirichlet_kl(alpha, belief.prior))
     return states, empirical, alphas, belief_terms
+
+
+def reference_crossover(parent_a, parent_b, rng):
+    """Uniform crossover as a per-gene select: np.where on one rng.random mask."""
+    mask = rng.random(parent_a.shape) < 0.5
+    return np.where(mask, parent_a, parent_b)
+
+
+def reference_mutate(genome, config, rng):
+    """Quantum mutation through a boolean mask: (mutated copy, offsets).
+
+    One rng.random selection draw, then, only if a gene is selected, one
+    rng.normal angle per selected gene, added in the mask's C order.
+    """
+    genome = np.asarray(genome, dtype=np.float64).copy()
+    mask = rng.random(genome.shape) < config.mutation_rate
+    count = int(mask.sum())
+    if count == 0:
+        return genome, np.empty(0)
+    deltas = config.mutation_strength * np.sin(rng.normal(0.0, config.rotation_sigma, size=count))
+    genome[mask] += deltas
+    return genome, deltas
 
 
 @pytest.fixture(scope="session")

@@ -218,7 +218,7 @@ class TestTrainCommand:
     def test_info_log_level_reports_training(self, tmp_path, level):
         """FISCALFORGE_LOG=info logs the training budget to stderr; the default does not.
 
-        A fresh process, since logging is configured once per process.
+        Through the module entry point, in a fresh process.
         """
         config = _write_config(tmp_path, {"td3": {"total_timesteps": 10, "warmup_steps": 5}})
         env = {k: v for k, v in os.environ.items() if k != "FISCALFORGE_LOG"}
@@ -231,6 +231,16 @@ class TestTrainCommand:
         )
         logged = "INFO fiscalforge: training for 10 timesteps" in done.stderr
         assert logged == (level == "info"), done.stderr
+
+    def test_log_level_applies_on_every_main_call(self, tmp_path, capsys, monkeypatch):
+        """Each main() call in one process reads FISCALFORGE_LOG anew."""
+        config = _write_config(tmp_path, {"td3": {"total_timesteps": 10, "warmup_steps": 5}})
+        monkeypatch.delenv("FISCALFORGE_LOG", raising=False)
+        assert main(["train", "--config", str(config)]) == 0
+        assert "training for" not in capsys.readouterr().err
+        monkeypatch.setenv("FISCALFORGE_LOG", "info")
+        assert main(["train", "--config", str(config)]) == 0
+        assert "INFO fiscalforge: training for 10 timesteps" in capsys.readouterr().err
 
     def test_history_lines_parse(self, tmp_path):
         config = _write_config(tmp_path)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, psi
 from scipy.stats import skew
 
@@ -21,7 +23,7 @@ from fiscalforge.quantum_ga import (
     uniform_crossover,
 )
 
-from conftest import make_series
+from conftest import make_series, reference_crossover, reference_mutate
 
 ACTOR_SPEC = MlpSpec(3, (4,), 2, "simplex")
 
@@ -217,6 +219,80 @@ class TestQuantumMutate:
         )
         np.testing.assert_allclose(deltas, expected, atol=1e-15)
         np.testing.assert_allclose(out, expected, atol=1e-15)
+
+
+# Bit patterns whose float64 arithmetic is easy to get wrong: +0.0 and -0.0,
+# quiet and signalling NaNs with payloads (one with its sign bit set), +-inf,
+# the smallest and largest subnormals, and the largest finite value.
+_SPECIAL_BITS = np.array(
+    [0x0000000000000000, 0x8000000000000000, 0x7FF8000000001234, 0xFFF0000000000001,
+     0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+     0x7FEFFFFFFFFFFFFF],
+    dtype=np.uint64,
+)
+_SPECIALS = _SPECIAL_BITS.view(np.float64)
+_gene_bits = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS.tolist()))
+_shapes = st.one_of(st.tuples(st.integers(0, 40)),
+                    st.tuples(st.integers(1, 6), st.integers(1, 6)))
+
+
+@st.composite
+def _genomes(draw, count):
+    """count float64 arrays of one 1-D or 2-D shape, from arbitrary bit patterns.
+
+    A 2-D draw may come transposed, so the kernels also see F-ordered input.
+    """
+    shape = draw(_shapes)
+    size = math.prod(shape)
+    arrays = [np.array(draw(st.lists(_gene_bits, min_size=size, max_size=size)),
+                       dtype=np.uint64).view(np.float64).reshape(shape)
+              for _ in range(count)]
+    if len(shape) == 2 and draw(st.booleans()):
+        arrays = [a.T for a in arrays]
+    return arrays
+
+
+class TestKernelOracle:
+    """The branch-free kernels against the per-gene select and mask forms they
+    replaced (conftest's reference operators): same bytes, same draws."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(parents=_genomes(2), seed=st.integers(0, 2**32 - 1))
+    @example(parents=[_SPECIALS, _SPECIALS[::-1].copy()], seed=0)
+    @example(parents=[np.tile(_SPECIALS, (9, 1)), np.tile(_SPECIALS, (9, 1)).T.copy()], seed=1)
+    def test_crossover_matches_select(self, parents, seed):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = uniform_crossover(*parents, got_rng)
+        want = reference_crossover(*parents, want_rng)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        genome=_genomes(1).map(lambda arrays: arrays[0]),
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        strength=st.sampled_from([0.0, 0.05, 0.7]),
+        rotation_sigma=st.sampled_from([0.0, 0.3, 5.0]),
+    )
+    @example(genome=_SPECIALS, seed=2, rate=1.0, strength=0.05, rotation_sigma=0.3)
+    @example(genome=np.tile(_SPECIALS, (5, 1)), seed=3, rate=0.5, strength=0.7,
+             rotation_sigma=5.0)
+    def test_mutation_matches_mask(self, genome, seed, rate, strength, rotation_sigma):
+        config = GaConfig(mutation_rate=rate, mutation_strength=strength,
+                          rotation_sigma=rotation_sigma)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        before = genome.tobytes()
+        with np.errstate(invalid="ignore"):  # a signalling NaN gene plus an offset
+            got, got_deltas = quantum_mutate(genome, config, got_rng)
+            want, want_deltas = reference_mutate(genome, config, want_rng)
+        assert genome.tobytes() == before  # the input is not mutated in place
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_deltas.dtype == want_deltas.dtype and got_deltas.shape == want_deltas.shape
+        assert got_deltas.tobytes() == want_deltas.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestEvolve:

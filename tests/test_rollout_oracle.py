@@ -8,7 +8,9 @@ update, Dirichlet penalty) in the step loop's reward order and
 trace-record layout. Fitness must match
 bit for bit and trace.jsonl line for line, and evolve must match the
 per-individual loop it replaced, which keeps its raw mutation offsets
-and bins them in plain Python.
+and bins them in plain Python, and breeds with conftest's reference
+operators (an np.where crossover and a boolean-mask mutation), not with
+the production kernels.
 """
 
 import json
@@ -44,12 +46,10 @@ from fiscalforge.quantum_ga import (
     evaluate_population,
     evolve,
     perturbation_edges,
-    quantum_mutate,
-    uniform_crossover,
 )
 from fiscalforge.td3_trainer import ACTOR_HIDDEN
 
-from conftest import make_series, oracle_tables
+from conftest import make_series, oracle_tables, reference_crossover, reference_mutate
 
 SCALER = fit_scaler(make_series([(1, 2, -5), (10, 20, 0), (40, 30, 10), (60, 50, 20)]))
 
@@ -212,8 +212,8 @@ def _individual_loop(base, config, series, reward, belief):
         for _ in range(config.population_size - 1):
             pa = elites[rng.integers(0, len(elites))]
             pb = elites[rng.integers(0, len(elites))]
-            child, deltas = quantum_mutate(uniform_crossover(pa.genome, pb.genome, rng),
-                                           config, rng)
+            child, deltas = reference_mutate(reference_crossover(pa.genome, pb.genome, rng),
+                                             config, rng)
             offspring.append(_Individual(child))
             perturbations.extend(deltas.tolist())
         logs.append((generation, float(fitnesses[gen_best]), float(np.mean(fitnesses)),
