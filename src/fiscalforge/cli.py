@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .atomic import atomic_open
 from .data_ingest import FinancialSeries, chrono_split, fit_scaler, load_series
-from .environment import BeliefConfig, BudgetEnv, RewardConfig
+from .environment import BeliefConfig, BudgetEnv, RewardConfig, write_trace
 from .errors import (
     ArtifactError,
     ConfigError,
@@ -53,7 +53,7 @@ from .neural_core import (
     save_checkpoint,
 )
 from .quantum_ga import GaConfig, evaluate_fitness, evolve, perturbation_edges
-from .td3_trainer import ACTION_DIM, STATE_DIM, TD3Config, TrainedPolicy, train
+from .td3_trainer import ACTION_DIM, CRITIC_SPEC, STATE_DIM, TD3Config, TrainedPolicy, train
 
 __all__ = ["RunConfig", "main", "entrypoint"]
 
@@ -241,7 +241,7 @@ def cmd_train(cfg: RunConfig) -> TrainedPolicy:
     save_checkpoint(out / ACTOR_CKPT, policy.spec, policy.params)
     export_json(out / "actor.json", policy.spec, policy.params)
     for name, params in policy.aux_params.items():
-        spec = policy.critic_spec if "critic" in name else policy.spec
+        spec = CRITIC_SPEC if "critic" in name else policy.spec
         save_checkpoint(out / f"{name}.ckpt", spec, params)
     _write_jsonl(
         out / "history.jsonl",
@@ -298,7 +298,8 @@ def cmd_evaluate(cfg: RunConfig) -> MetricsReport:
     policy = _load_actor(ckpt)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    report, actions = evaluate_policy(policy, env, trace_path=out / "trace.jsonl")
+    report, actions, rewards = evaluate_policy(policy, env)
+    write_trace(env, actions, rewards, out / "trace.jsonl")
     _write_json(out / "metrics.json", report.to_dict())
     with atomic_open(out / "pairs.csv") as fh:
         fh.write("t,pred_rnd,pred_sga,actual_rnd,actual_sga\n")
@@ -317,7 +318,7 @@ def cmd_pipeline(cfg: RunConfig) -> None:
 
     pre_fitness = evaluate_fitness(base.params, base.spec, cfg.train_env)
     post_fitness = evaluate_fitness(refined.params, refined.spec, cfg.train_env)
-    pre_report, _ = evaluate_policy(base, cfg.test_env)
+    pre_report = evaluate_policy(base, cfg.test_env)[0]
 
     post_report = cmd_evaluate(cfg)
 
@@ -394,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"fiscalforge: usage error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # the config's sizes do not fit in memory
+        print(f"fiscalforge: usage error: out of memory: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
         print(f"fiscalforge: data error: {exc}", file=sys.stderr)

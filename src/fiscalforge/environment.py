@@ -112,23 +112,24 @@ class StepResult:
     action: np.ndarray
 
 
-def validate_action(action: np.ndarray, tolerance: float = ACTION_TOLERANCE) -> np.ndarray:
+def validate_action(action: np.ndarray) -> np.ndarray:
     """Accept near-simplex action rows, renormalizing float drift only.
 
     action is one (2,) row or any (..., 2) stack of rows, each checked
-    and renormalized on its own. A component below -tolerance or a row
-    sum further than tolerance from 1 indicates a logic bug in the
-    caller and raises ContractError.
+    and renormalized on its own. A component below -ACTION_TOLERANCE or
+    a row sum further than ACTION_TOLERANCE from 1 indicates a logic bug
+    in the caller and raises ContractError.
     """
     a = np.asarray(action, dtype=np.float64)
     if a.ndim < 1 or a.shape[-1] != 2:
         raise ContractError(f"action rows must have 2 components, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ContractError("action contains non-finite components")
-    off = np.any(a < -tolerance, axis=-1) | (np.abs(a.sum(axis=-1) - 1.0) > tolerance)
+    off = (np.any(a < -ACTION_TOLERANCE, axis=-1)
+           | (np.abs(a.sum(axis=-1) - 1.0) > ACTION_TOLERANCE))
     if np.any(off):
         row = a.reshape(-1, 2)[np.flatnonzero(off)[0]]
-        raise ContractError(f"action {row.tolist()} is off the simplex beyond {tolerance}")
+        raise ContractError(f"action {row.tolist()} is off the simplex beyond {ACTION_TOLERANCE}")
     a = np.clip(a, 0.0, None)
     return a / a.sum(axis=-1, keepdims=True)
 
@@ -193,13 +194,6 @@ class BudgetEnv:
     @property
     def done(self) -> bool:
         return self._t is not None and self._t >= len(self.empirical)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """Belief after the last step taken; the prior before the first."""
-        if not self._t:
-            return self._prior.copy()
-        return self.alphas[self._t - 1].copy()
 
     def reset(self) -> np.ndarray:
         self._t = 0

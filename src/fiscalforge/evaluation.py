@@ -8,7 +8,8 @@ distribution (predicted components floored at 1e-12, zero actual mass
 contributes zero). The predictions are the greedy actions of the
 policy on an env the caller builds (the CLI's test-split env, shared by
 the pre- and post-refinement reports), scored by env.episode_rewards
-as GA fitness is; they also feed trace.jsonl.
+as GA fitness is. evaluate_policy returns them and their rewards with
+the report and writes nothing; the CLI writes trace.jsonl from them.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import BudgetEnv, write_trace
+from .environment import BudgetEnv, RewardBreakdown
 from .errors import DataError, DomainError, ShapeError
 
 __all__ = [
@@ -97,19 +98,15 @@ def kl_divergence(predicted: np.ndarray, actual: np.ndarray) -> float:
     return float(np.mean(terms.sum(axis=1)))
 
 
-def evaluate_policy(
-    policy, env: BudgetEnv, trace_path=None
-) -> tuple[MetricsReport, np.ndarray]:
+def evaluate_policy(policy, env: BudgetEnv) -> tuple[MetricsReport, np.ndarray, RewardBreakdown]:
     """Score the policy's greedy actions on the env's episode states.
 
     ``policy`` is anything with an ``act(states) -> allocations`` method
     mapping a (T, 3) stack of states to (T, 2) simplex rows. Returns the
-    report and the validated (T, 2) actions; row t is scored against
-    ``env.empirical[t]``.
+    report, the validated (T, 2) actions and their per-step rewards from
+    ``env.episode_rewards``; row t is scored against ``env.empirical[t]``.
     """
     actions, rewards = env.episode_rewards(policy.act(env.states[:-1]))
-    if trace_path is not None:
-        write_trace(env, actions, rewards, trace_path)
     report = MetricsReport(
         mae=mae(actions, env.empirical),
         rmse=rmse(actions, env.empirical),
@@ -117,4 +114,4 @@ def evaluate_policy(
         kl_divergence=kl_divergence(actions, env.empirical),
         n_quarters=len(actions),
     )
-    return report, actions
+    return report, actions, rewards

@@ -84,6 +84,8 @@ class GaConfig:
     def __post_init__(self):
         if self.generations < 0 or self.population_size < 1:
             raise ContractError("need generations >= 0 and population_size >= 1")
+        if self.population_size > 2**31 - 1:
+            raise ContractError(f"population_size {self.population_size} exceeds 2**31 - 1")
         if not 0.0 < self.elite_fraction <= 1.0:
             raise ContractError("elite_fraction must lie in (0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -102,12 +104,8 @@ class GenerationLog:
     histogram: tuple[int, ...]  # offset counts per bin of perturbation_edges
 
 
-def init_population(
-    base: np.ndarray, config: GaConfig, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def init_population(base: np.ndarray, config: GaConfig, rng: np.random.Generator) -> np.ndarray:
     """(population_size, P) Gaussian cloud around the base genome; row 0 is the base itself."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     base = np.asarray(base, dtype=np.float64)
     noise = rng.normal(0.0, config.init_sigma, size=(config.population_size - 1, base.size))
     return np.vstack([base, base + noise])

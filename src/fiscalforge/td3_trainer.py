@@ -62,22 +62,14 @@ __all__ = [
     "actor_update",
     "soft_update",
     "train",
-    "ACTOR_HIDDEN",
-    "CRITIC_HIDDEN",
+    "ACTOR_SPEC",
+    "CRITIC_SPEC",
 ]
 
 STATE_DIM = 3
 ACTION_DIM = 2
-ACTOR_HIDDEN = (64, 64)
-CRITIC_HIDDEN = (64, 64)
-
-
-def actor_spec() -> MlpSpec:
-    return MlpSpec(STATE_DIM, ACTOR_HIDDEN, ACTION_DIM, SIMPLEX)
-
-
-def critic_spec() -> MlpSpec:
-    return MlpSpec(STATE_DIM + ACTION_DIM, CRITIC_HIDDEN, 1, LINEAR)
+ACTOR_SPEC = MlpSpec(STATE_DIM, (64, 64), ACTION_DIM, SIMPLEX)
+CRITIC_SPEC = MlpSpec(STATE_DIM + ACTION_DIM, (64, 64), 1, LINEAR)
 
 
 class ReplayBuffer:
@@ -149,6 +141,8 @@ class TD3Config:
             raise ContractError("tau must lie in [0, 1]")
         if self.actor_delay < 1 or self.batch_size < 1 or self.buffer_capacity < 1:
             raise ContractError("actor_delay, batch_size, buffer_capacity must be positive")
+        if self.buffer_capacity > 2**31 - 1:
+            raise ContractError(f"buffer_capacity {self.buffer_capacity} exceeds 2**31 - 1")
         if self.batch_size > self.buffer_capacity:
             raise ContractError(
                 f"batch_size {self.batch_size} exceeds buffer_capacity {self.buffer_capacity}: "
@@ -166,8 +160,7 @@ class TrainedPolicy(ActorPolicy):
     """Actor policy plus its per-episode rewards and the other trained networks."""
 
     episode_rewards: tuple[float, ...]
-    aux_params: dict[str, np.ndarray]
-    critic_spec: MlpSpec
+    aux_params: dict[str, np.ndarray]  # the critics have CRITIC_SPEC's layout
 
 
 def smoothed_target_actions(
@@ -277,16 +270,14 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
     after it, is re-raised naming the update's index (counted from 1)
     and the network, critic or actor, that failed.
     """
-    a_spec = actor_spec()
-    c_spec = critic_spec()
-    n_actor = a_spec.param_count()
+    n_actor = ACTOR_SPEC.param_count()
 
     def split(flat):
         """The actor and (2, P) twin-critic views of a flat parameter buffer."""
         return flat[:n_actor], flat[n_actor:].reshape(2, -1)
 
-    online = np.concatenate([init_params(a_spec, config.seed)]
-                            + [init_params(c_spec, config.seed + k) for k in (1, 2)])
+    online = np.concatenate([init_params(ACTOR_SPEC, config.seed)]
+                            + [init_params(CRITIC_SPEC, config.seed + k) for k in (1, 2)])
     target = online.copy()
     actor, critics = split(online)
     actor_t, critics_t = split(target)
@@ -312,7 +303,7 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
             else:
                 k = 1
                 noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
-                a = clip_to_simplex(forward_actor(actor, a_spec, states[t]) + noise)[None]
+                a = clip_to_simplex(forward_actor(actor, ACTOR_SPEC, states[t]) + noise)[None]
             a = validate_action(a)
             prevs = np.concatenate([prev[None], a[:-1]])
             totals = env.rewards(a, prevs, slice(t, t + k)).total
@@ -334,15 +325,15 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
             ts, batch_actions, rewards = buffer.sample(config.batch_size, rng)
             batch_states, next_states = states[ts], states[ts + 1]
             targets = compute_targets(
-                actor_t, critics_t, a_spec, c_spec, rewards, next_states, ts + 1 == n_steps,
-                config, rng,
+                actor_t, critics_t, ACTOR_SPEC, CRITIC_SPEC, rewards, next_states,
+                ts + 1 == n_steps, config, rng,
             )
-            critics[:] = critic_update(critics, c_spec, batch_states, batch_actions, targets,
+            critics[:] = critic_update(critics, CRITIC_SPEC, batch_states, batch_actions, targets,
                                        config.learning_rate)[0]
             network = "actor"
 
             if n_updates % config.actor_delay == 0:
-                actor[:] = actor_update(actor, a_spec, critics[0], c_spec, batch_states,
+                actor[:] = actor_update(actor, ACTOR_SPEC, critics[0], CRITIC_SPEC, batch_states,
                                         config.learning_rate)
                 target = soft_update(target, online, config.tau)
                 actor_t, critics_t = split(target)
@@ -350,7 +341,7 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
         raise NumericError(f"update {n_updates}, {network}: {exc}") from exc
 
     return TrainedPolicy(
-        spec=a_spec,
+        spec=ACTOR_SPEC,
         params=actor,
         episode_rewards=tuple(episode_rewards),
         aux_params={
@@ -360,5 +351,4 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
             "critic1_target": critics_t[0],
             "critic2_target": critics_t[1],
         },
-        critic_spec=c_spec,
     )

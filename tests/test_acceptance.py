@@ -103,19 +103,19 @@ def test_criterion_3_environment_algebra():
     c = 1.0
     env = BudgetEnv(series, scaler, belief=BeliefConfig(confidence=c))
     env.reset()
-    prior_total = float(np.sum(env.alpha))
+    prior_total = float(np.sum(env.belief_config.prior))
     steps = 0
     before = prior_total
     rng = np.random.default_rng(4)
     while not env.done:
         result = env.step(rng.dirichlet([1.0, 1.0]))
         steps += 1
-        after = float(np.sum(env.alpha))
+        after = float(np.sum(env.alphas[steps - 1]))
         assert abs((after - before) - c) <= 1e-12
         assert result.reward.total <= 0.0
         before = after
     assert steps == len(series) - 1
-    assert abs(float(np.sum(env.alpha)) - (prior_total + steps * c)) <= 1e-12
+    assert abs(float(np.sum(env.alphas[steps - 1])) - (prior_total + steps * c)) <= 1e-12
 
     # Triple coincidence: uniform action, uniform empirical, zero confidence.
     from conftest import make_series
@@ -139,7 +139,8 @@ def test_criterion_3_environment_algebra():
         assert abs(reward.accuracy_term - exp["accuracy"]) <= 1e-9
         assert abs(reward.smoothness_term - exp["smoothness"]) <= 1e-9
         assert abs(reward.belief_term - exp["belief"]) <= 1e-9
-    _report(3, f"{steps}-step episode, belief total {float(np.sum(env.alpha)):.6f}, trace matched")
+    total = float(np.sum(env.alphas[-1]))
+    _report(3, f"{steps}-step episode, belief total {total:.6f}, trace matched")
 
 
 class _UniformPolicy:
@@ -160,8 +161,8 @@ def test_criterion_4_td3_learning_progress():
     last5 = float(np.mean(policy.episode_rewards[-5:]))
     assert last5 > first5, f"no learning progress: {first5} -> {last5}"
 
-    trained_report, _ = evaluate_policy(policy, BudgetEnv(test_part, scaler))
-    uniform_report, _ = evaluate_policy(_UniformPolicy(), BudgetEnv(test_part, scaler))
+    trained_report = evaluate_policy(policy, BudgetEnv(test_part, scaler))[0]
+    uniform_report = evaluate_policy(_UniformPolicy(), BudgetEnv(test_part, scaler))[0]
     assert trained_report.mae < uniform_report.mae, (
         f"trained MAE {trained_report.mae} vs uniform {uniform_report.mae}"
     )
@@ -251,7 +252,7 @@ def test_criterion_7_metric_fixtures():
         def act(self, states):
             return env.empirical[: len(states)]
 
-    report, _ = evaluate_policy(Oracle(), env)
+    report = evaluate_policy(Oracle(), env)[0]
     assert report.mae <= 1e-12
     assert abs(report.cosine_similarity - 1.0) <= 1e-12
     assert report.kl_divergence <= 1e-12
@@ -307,7 +308,7 @@ def test_criterion_9_soft_directional_check(tmp_path):
     env = BudgetEnv(train_part, scaler)
     policy = train(env, TD3Config(seed=seed + 2))
     refined, _ = evolve(policy, env, GaConfig(seed=seed + 3))
-    report, _ = evaluate_policy(refined, BudgetEnv(test_part, scaler))
+    report = evaluate_policy(refined, BudgetEnv(test_part, scaler))[0]
 
     outcome = {
         "seed": seed,

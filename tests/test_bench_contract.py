@@ -11,10 +11,13 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
+
+import fiscalforge
 
 from conftest import FIXTURE_CSV, REPO_ROOT
 
@@ -42,6 +45,17 @@ def _tiny_config(tmp_path):
     return path
 
 
+def _run_child(tmp_path, *args):
+    """perfbench/child.py in a fresh process, as perfbench/run.py starts it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 def _traced_names():
     tracer = _load("tracer")
     return [f"{layer}.{qualname}" for table in (tracer.SPANNED, tracer.PROBED)
@@ -57,6 +71,14 @@ def test_traced_name_resolves(name):
     assert callable(owner)
 
 
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(fiscalforge.__path__)])
+def test_exported_names_resolve(module):
+    """Every __all__ entry exists, so `from fiscalforge.<module> import *` works."""
+    owner = importlib.import_module(f"fiscalforge.{module}")
+    missing = [name for name in getattr(owner, "__all__", ()) if not hasattr(owner, name)]
+    assert not missing
+
+
 def test_child_pipeline_times_every_stage(tmp_path, monkeypatch):
     from fiscalforge import cli
 
@@ -69,17 +91,18 @@ def test_child_pipeline_times_every_stage(tmp_path, monkeypatch):
         assert result[f"{name}_s"] > 0.0
 
 
+def test_child_setup_reports_setup_s(tmp_path):
+    """The setup_s metric's code path: config, CSV parse and env build in a fresh process."""
+    proc = _run_child(tmp_path, "setup", str(_tiny_config(tmp_path)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["setup_s"] > 0.0
+
+
 def test_traced_child_run_counts(tmp_path):
     """A traced run in a fresh process: the hooks' argument indexing still holds."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
     spans = tmp_path / "spans.jsonl"
-    proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "child.py"), "pipeline", str(_tiny_config(tmp_path)),
-         str(tmp_path / "out"), str(spans), "contract"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _run_child(tmp_path, "pipeline", str(_tiny_config(tmp_path)), str(tmp_path / "out"),
+                      str(spans), "contract")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["rc"] == 0

@@ -18,10 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fiscalforge
+from fiscalforge import cli
 from fiscalforge.cli import load_run_config, main
 from fiscalforge.errors import ConfigError
 from fiscalforge.quantum_ga import PERTURBATION_BINS
-from fiscalforge.td3_trainer import actor_spec
+from fiscalforge.td3_trainer import ACTOR_SPEC
 
 from conftest import FIXTURE_CSV
 
@@ -143,6 +144,9 @@ class TestRunConfig:
             {"td3": {"tau": 1e308}},
             {"td3": {"tau": 2.0}},
             {"td3": {"tau": -0.5}},
+            {"td3": {"buffer_capacity": 10**30}},
+            {"td3": {"buffer_capacity": 2**62}},
+            {"ga": {"population_size": 10**30}},
         ],
         ids=["fraction-text", "fraction-list", "fraction-nan", "fraction-above-1",
              "fraction-zero", "path-number", "out-number",
@@ -150,7 +154,7 @@ class TestRunConfig:
              "lambda-text", "rate-non-finite", "belief-nan-text", "prior-overflow",
              "confidence-overflow", "prior-three", "number-text", "prior-text",
              "seed-bool", "seed-negative", "seed-minus-one", "tau-overflow", "tau-above-1",
-             "tau-negative"],
+             "tau-negative", "capacity-huge", "capacity-2^62", "population-huge"],
     )
     def test_malformed_value_exits_1(self, tmp_path, capsys, overrides):
         config = _write_config(tmp_path, overrides)
@@ -161,6 +165,17 @@ class TestRunConfig:
         config = _write_config(tmp_path)
         assert main(["train", "--config", str(config), "--seed", "-5"]) == 1
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        """Arrays the config sizes beyond memory end in a usage error, not a traceback."""
+        def exhausted(env, config):
+            raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+        monkeypatch.setattr(cli, "train", exhausted)
+        assert main(["train", "--config", str(_write_config(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert "fiscalforge: usage error: out of memory" in err
+        assert "Traceback" not in err
 
 
 class TestTrainCommand:
@@ -315,7 +330,7 @@ class TestRefineCommand:
         main(["train", "--config", str(config)])
         ckpt = tmp_path / "out" / "actor.ckpt"
         blob = bytearray(ckpt.read_bytes())
-        blob[len(blob) - 8 * actor_spec().param_count() - 1] ^= 0x80
+        blob[len(blob) - 8 * ACTOR_SPEC.param_count() - 1] ^= 0x80
         ckpt.write_bytes(bytes(blob))
         assert main(["refine", "--config", str(config)]) == 3
 

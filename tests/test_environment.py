@@ -57,11 +57,9 @@ class TestEmpiricalAllocation:
 
 
 def _belief_after_one_step(prior, rnd, sga, confidence):
-    """env.alpha after the one step of a series whose quarter 1 spends (rnd, sga)."""
+    """The belief after the one step of a series whose quarter 1 spends (rnd, sga)."""
     env = _env([(1, 1, 0), (rnd, sga, 0)], belief=BeliefConfig(prior, confidence))
-    env.reset()
-    env.step(np.array([0.5, 0.5]))
-    return env.alpha
+    return env.alphas[0]
 
 
 class TestUpdateBelief:
@@ -114,17 +112,21 @@ class TestActionValidation:
 
 class TestReset:
     def test_belief_equals_prior(self):
+        """The running belief starts from the prior: the first step adds to (5, 3)."""
         env = _env(BASIC_ROWS, belief=BeliefConfig(prior=(5.0, 3.0)))
         env.reset()
-        np.testing.assert_array_equal(env.alpha, [5.0, 3.0])
+        np.testing.assert_array_equal(
+            env.alphas[0], np.array([5.0, 3.0]) + env.belief_config.confidence * env.empirical[0]
+        )
 
     def test_idempotent(self):
         env = _env(BASIC_ROWS)
+        alphas = env.alphas.copy()
         s1 = env.reset()
         env.step(np.array([0.5, 0.5]))
         s2 = env.reset()
         np.testing.assert_array_equal(s1, s2)
-        np.testing.assert_array_equal(env.alpha, env.belief_config.prior)
+        np.testing.assert_array_equal(env.alphas, alphas)
 
     def test_two_quarter_series_finishes_in_one_step(self):
         env = _env(BASIC_ROWS[:2])
@@ -194,7 +196,7 @@ class TestStep:
         env.reset()
         result = env.step(np.array([0.5, 0.5]))
         assert result.reward.belief_term < 0.0
-        np.testing.assert_allclose(env.alpha, [5.0 + 0.75, 3.0 + 0.25])
+        np.testing.assert_allclose(env.alphas[0], [5.0 + 0.75, 3.0 + 0.25])
 
     def test_step_after_done(self):
         env = _env(BASIC_ROWS[:2])
@@ -241,16 +243,16 @@ class TestInvariants:
         c = 1.5
         env = _env(BASIC_ROWS, belief=BeliefConfig(confidence=c))
         env.reset()
-        prior_total = float(np.sum(env.alpha))
+        prior_total = float(np.sum(env.belief_config.prior))
         steps = 0
         before = prior_total
         while not env.done:
             env.step(np.array([0.5, 0.5]))
             steps += 1
-            after = float(np.sum(env.alpha))
+            after = float(np.sum(env.alphas[steps - 1]))
             assert after - before == pytest.approx(c, abs=1e-12)
             before = after
-        assert float(np.sum(env.alpha)) == pytest.approx(
+        assert float(np.sum(env.alphas[steps - 1])) == pytest.approx(
             prior_total + steps * c, abs=1e-12
         )
 
@@ -288,13 +290,13 @@ class TestTrace:
             BeliefConfig(tuple(expected["prior"]), expected["confidence"]),
         )
         env.reset()
-        for action, exp in zip(expected["actions"], expected["trace"]):
+        for t, (action, exp) in enumerate(zip(expected["actions"], expected["trace"])):
             result = env.step(np.array(action))
             assert result.reward.accuracy_term == pytest.approx(exp["accuracy"], abs=1e-9)
             assert result.reward.smoothness_term == pytest.approx(exp["smoothness"], abs=1e-9)
             assert result.reward.belief_term == pytest.approx(exp["belief"], abs=1e-9)
             assert result.reward.total == pytest.approx(exp["total"], abs=1e-9)
-            np.testing.assert_allclose(env.alpha, exp["alpha"], atol=1e-9)
+            np.testing.assert_allclose(env.alphas[t], exp["alpha"], atol=1e-9)
 
     def test_trace_records_written_as_jsonl(self, tmp_path):
         env = _env(BASIC_ROWS)
@@ -346,7 +348,7 @@ class TestStepTables:
             assert (r.accuracy_term, r.smoothness_term, r.belief_term, r.total) == (
                 accuracy, smoothness, belief_term, accuracy + smoothness + belief_term
             )
-            assert env.alpha.tolist() == alphas[t]
+            assert env.alphas[t].tolist() == alphas[t]
             assert result.next_state.tolist() == states[t + 1]
             np.testing.assert_array_equal(result.action, a)
             assert result.done == (t == len(series) - 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fiscalforge.data_ingest import fit_scaler
-from fiscalforge.environment import BudgetEnv
+from fiscalforge.environment import BudgetEnv, write_trace
 from fiscalforge.errors import DataError, DomainError
 from fiscalforge.evaluation import (
     cosine_similarity,
@@ -167,7 +167,7 @@ class TestEvaluatePolicy:
     def test_oracle_policy_scores_perfectly(self):
         series, scaler = self._setup()
         env = BudgetEnv(series, scaler)
-        report, actions = evaluate_policy(_OraclePolicy(env), env)
+        report, actions, _ = evaluate_policy(_OraclePolicy(env), env)
         assert report.mae <= 1e-12
         assert abs(report.cosine_similarity - 1.0) <= 1e-12
         assert report.kl_divergence <= 1e-12
@@ -175,12 +175,12 @@ class TestEvaluatePolicy:
 
     def test_quarter_count(self):
         series, scaler = self._setup()
-        report, _ = evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler))
+        report = evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler))[0]
         assert report.n_quarters == len(series) - 1
 
     def test_uniform_policy_matches_independent_arithmetic(self):
         series, scaler = self._setup()
-        report, _ = evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler))
+        report = evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler))[0]
         shares = []
         for rnd, sga, _ in FIXTURE_ROWS[1:]:
             shares.append(rnd / (rnd + sga))
@@ -201,7 +201,7 @@ class TestEvaluatePolicy:
 
         train_part, test_part = chrono_split(fixture_series, 0.8)
         scaler = fit_scaler(train_part)
-        report, _ = evaluate_policy(_UniformPolicy(), BudgetEnv(test_part, scaler))
+        report = evaluate_policy(_UniformPolicy(), BudgetEnv(test_part, scaler))[0]
 
         with open(FIXTURE_CSV, newline="") as fh:
             raw = [(float(r["rnd"]), float(r["sga"])) for r in csv.DictReader(fh)]
@@ -219,12 +219,14 @@ class TestEvaluatePolicy:
     def test_trace_emission(self, tmp_path):
         series, scaler = self._setup()
         trace_path = tmp_path / "trace.jsonl"
-        evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler), trace_path=trace_path)
+        env = BudgetEnv(series, scaler)
+        _, actions, rewards = evaluate_policy(_UniformPolicy(), env)
+        write_trace(env, actions, rewards, trace_path)
         assert len(trace_path.read_text().splitlines()) == len(series) - 1
 
     def test_report_dict_has_exactly_five_fields(self):
         series, scaler = self._setup()
-        report, _ = evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler))
+        report = evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler))[0]
         assert set(report.to_dict()) == {
             "mae", "rmse", "cosine_similarity", "kl_divergence", "n_quarters",
         }

@@ -36,23 +36,28 @@ def _ga_env(n_quarters=6, seed=23):
     return BudgetEnv(series, fit_scaler(series))
 
 
+def _population(base, config):
+    """init_population from a fresh generator at the config's seed, as evolve starts."""
+    return init_population(base, config, np.random.default_rng(config.seed))
+
+
 class TestInitPopulation:
     def test_zero_sigma_gives_clones(self):
         base = np.arange(10.0)
-        pop = init_population(base, GaConfig(init_sigma=0.0, seed=1))
+        pop = _population(base, GaConfig(init_sigma=0.0, seed=1))
         assert pop.shape == (5, 10)
         for genome in pop:
             np.testing.assert_array_equal(genome, base)
 
     def test_population_of_one_is_just_the_base(self):
         base = np.arange(5.0)
-        pop = init_population(base, GaConfig(population_size=1, seed=1))
+        pop = _population(base, GaConfig(population_size=1, seed=1))
         assert pop.shape == (1, 5)
         np.testing.assert_array_equal(pop[0], base)
 
     def test_individual_zero_is_unperturbed(self):
         base = np.arange(20.0)
-        pop = init_population(base, GaConfig(population_size=5, seed=2))
+        pop = _population(base, GaConfig(population_size=5, seed=2))
         np.testing.assert_array_equal(pop[0], base)
         for genome in pop[1:]:
             assert np.any(genome != base)
@@ -62,7 +67,7 @@ class TestInitPopulation:
         sigma = 0.02
         base = np.zeros(1000)
         cfg = GaConfig(population_size=101, init_sigma=sigma, seed=3)
-        pop = init_population(base, cfg)
+        pop = _population(base, cfg)
         draws = pop[1:].ravel()
         assert draws.size == 100_000
         assert abs(draws.mean()) <= 4.0 * sigma / math.sqrt(draws.size)
@@ -70,7 +75,7 @@ class TestInitPopulation:
     def test_deterministic_given_seed(self):
         base = np.zeros(16)
         cfg = GaConfig(population_size=4, seed=9)
-        np.testing.assert_array_equal(init_population(base, cfg), init_population(base, cfg))
+        np.testing.assert_array_equal(_population(base, cfg), _population(base, cfg))
 
 
 class TestEvaluateFitness:

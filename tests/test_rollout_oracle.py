@@ -29,6 +29,7 @@ from fiscalforge.environment import (
     BudgetEnv,
     RewardConfig,
     validate_action,
+    write_trace,
 )
 from fiscalforge.errors import ContractError
 from fiscalforge.evaluation import evaluate_policy
@@ -47,7 +48,7 @@ from fiscalforge.quantum_ga import (
     evolve,
     perturbation_edges,
 )
-from fiscalforge.td3_trainer import ACTOR_HIDDEN
+from fiscalforge.td3_trainer import ACTOR_SPEC
 
 from conftest import make_series, oracle_tables, reference_crossover, reference_mutate
 
@@ -93,7 +94,7 @@ _rows = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(
     rows=_rows,
-    hidden=st.sampled_from([(4,), (8, 8), ACTOR_HIDDEN]),
+    hidden=st.sampled_from([(4,), (8, 8), ACTOR_SPEC.hidden_dims]),
     seed=st.integers(0, 2**32 - 1),
     scale=st.floats(0.1, 20.0),
     lambdas=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
@@ -113,7 +114,8 @@ def test_rollout_matches_step_oracle(
     assert evaluate_fitness(genome, spec, env) == expected_total
 
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
-    _, actions = evaluate_policy(ActorPolicy(spec, genome), env, trace_path=path)
+    _, actions, rewards = evaluate_policy(ActorPolicy(spec, genome), env)
+    write_trace(env, actions, rewards, path)
     assert path.read_text(encoding="utf-8").splitlines() == expected_lines
     for action, actual, line in zip(actions, env.empirical, expected_lines, strict=True):
         record = json.loads(line)
@@ -129,7 +131,7 @@ SATURATING_SCALE = 1000.0
 @given(
     rows=_rows,
     n=st.integers(1, 6),
-    hidden=st.sampled_from([(4,), (8, 8), ACTOR_HIDDEN]),
+    hidden=st.sampled_from([(4,), (8, 8), ACTOR_SPEC.hidden_dims]),
     seed=st.integers(0, 2**32 - 1),
     scale=st.one_of(st.floats(0.1, 20.0), st.just(SATURATING_SCALE)),
     lambdas=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
@@ -137,7 +139,7 @@ SATURATING_SCALE = 1000.0
     confidence=st.floats(0.0, 5.0),
 )
 @example(rows=[(1, 2, -5), (10, 20, 0), (40, 30, 10), (60, 50, 20), (5, 9, 1)], n=3,
-         hidden=ACTOR_HIDDEN, seed=11, scale=SATURATING_SCALE, lambdas=(0.1, 0.01),
+         hidden=ACTOR_SPEC.hidden_dims, seed=11, scale=SATURATING_SCALE, lambdas=(0.1, 0.01),
          prior=(5.0, 3.0), confidence=1.0)
 def test_population_matches_step_oracle(rows, n, hidden, seed, scale, lambdas, prior, confidence):
     """Every row of one evaluate_population call equals its own step-loop episode."""
@@ -158,7 +160,7 @@ def test_population_matches_step_oracle(rows, n, hidden, seed, scale, lambdas, p
 
 def test_saturating_scale_gives_exact_zero_shares():
     """SATURATING_SCALE does drive shares to 0.0, so the oracle tests cover them."""
-    spec = MlpSpec(3, ACTOR_HIDDEN, 2, "simplex")
+    spec = ACTOR_SPEC
     env = BudgetEnv(make_series([(1, 2, -5), (10, 20, 0), (40, 30, 10), (60, 50, 20)]), SCALER)
     genome = SATURATING_SCALE * init_params(spec, 11)
     assert np.any(forward_population(genome[None], spec, env.states[:-1]) == 0.0)
@@ -226,7 +228,7 @@ def _individual_loop(base, config, series, reward, belief):
 @settings(max_examples=25, deadline=None)
 @given(
     rows=_rows,
-    hidden=st.sampled_from([(4,), (8, 8), ACTOR_HIDDEN]),
+    hidden=st.sampled_from([(4,), (8, 8), ACTOR_SPEC.hidden_dims]),
     seed=st.integers(0, 2**32 - 1),
     generations=st.integers(2, 4),
     population_size=st.integers(1, 6),

@@ -20,12 +20,12 @@ from fiscalforge.neural_core import (
 )
 from fiscalforge.td3_trainer import (
     ACTION_DIM,
+    ACTOR_SPEC,
+    CRITIC_SPEC,
     ReplayBuffer,
     TD3Config,
-    actor_spec,
     actor_update,
     compute_targets,
-    critic_spec,
     critic_update,
     smoothed_target_actions,
     soft_update,
@@ -34,13 +34,13 @@ from fiscalforge.td3_trainer import (
 
 from conftest import FIXTURE_CSV, make_series
 
-CRITIC_SPEC = MlpSpec(5, (4,), 1, "linear")
-ACTOR_SPEC = MlpSpec(3, (4,), 2, "simplex")
+SMALL_CRITIC = MlpSpec(5, (4,), 1, "linear")
+SMALL_ACTOR = MlpSpec(3, (4,), 2, "simplex")
 
 
 def _constant_critic(q):
     """Critic parameters with Q(s, a) = q exactly: zero weights, output bias q."""
-    params = np.zeros(CRITIC_SPEC.param_count())
+    params = np.zeros(SMALL_CRITIC.param_count())
     params[-1] = q
     return params
 
@@ -51,7 +51,7 @@ def _targets(rewards, dones, critic1, critic2, gamma=0.99, seed=0):
     n = rewards.size
     next_states = np.random.default_rng(seed + 100).normal(size=(n, 3))
     return compute_targets(
-        init_params(ACTOR_SPEC, 3), np.stack([critic1, critic2]), ACTOR_SPEC, CRITIC_SPEC,
+        init_params(SMALL_ACTOR, 3), np.stack([critic1, critic2]), SMALL_ACTOR, SMALL_CRITIC,
         rewards, next_states, np.broadcast_to(np.asarray(dones), (n,)),
         TD3Config(gamma=gamma), np.random.default_rng(seed),
     )
@@ -74,8 +74,8 @@ class TestComputeTarget:
     def test_symmetric_in_critics(self):
         rng = np.random.default_rng(0)
         rewards = rng.normal(size=100)
-        c1 = rng.normal(0, 0.5, size=CRITIC_SPEC.param_count())
-        c2 = rng.normal(0, 0.5, size=CRITIC_SPEC.param_count())
+        c1 = rng.normal(0, 0.5, size=SMALL_CRITIC.param_count())
+        c2 = rng.normal(0, 0.5, size=SMALL_CRITIC.param_count())
         np.testing.assert_array_equal(
             _targets(rewards, False, c1, c2, gamma=0.9),
             _targets(rewards, False, c2, c1, gamma=0.9),
@@ -84,16 +84,16 @@ class TestComputeTarget:
     def test_never_exceeds_either_bootstrap(self):
         rng = np.random.default_rng(1)
         rewards = rng.normal(size=100)
-        critics = [rng.normal(0, 0.5, size=CRITIC_SPEC.param_count()) for _ in range(2)]
+        critics = [rng.normal(0, 0.5, size=SMALL_CRITIC.param_count()) for _ in range(2)]
         y = _targets(rewards, False, *critics, gamma=0.95, seed=4)
         next_states = np.random.default_rng(104).normal(size=(100, 3))
         next_actions = smoothed_target_actions(
-            init_params(ACTOR_SPEC, 3), ACTOR_SPEC, next_states, 0.2, 0.5,
+            init_params(SMALL_ACTOR, 3), SMALL_ACTOR, next_states, 0.2, 0.5,
             np.random.default_rng(4),
         )
         x = np.concatenate([next_states, next_actions], axis=1)
         for critic in critics:
-            q = forward_batch(critic, CRITIC_SPEC, x)[:, 0]
+            q = forward_batch(critic, SMALL_CRITIC, x)[:, 0]
             assert np.all(y <= rewards + 0.95 * q + 1e-12)
 
 
@@ -109,19 +109,19 @@ class _FixedNoise:
 
 class TestSmoothedTargetAction:
     def _params(self, seed=3):
-        return init_params(ACTOR_SPEC, seed)
+        return init_params(SMALL_ACTOR, seed)
 
     def test_zero_sigma_is_plain_actor_output(self):
         params = self._params()
         states = np.array([[0.2, 0.4, 0.6], [-1.0, 0.0, 2.0]])
         rng = np.random.default_rng(0)
-        out = smoothed_target_actions(params, ACTOR_SPEC, states, 0.0, 0.5, rng)
-        np.testing.assert_allclose(out, forward_batch(params, ACTOR_SPEC, states), atol=1e-15)
+        out = smoothed_target_actions(params, SMALL_ACTOR, states, 0.0, 0.5, rng)
+        np.testing.assert_allclose(out, forward_batch(params, SMALL_ACTOR, states), atol=1e-15)
 
     def test_always_on_simplex(self):
         params = self._params()
         rng = np.random.default_rng(12)
-        out = smoothed_target_actions(params, ACTOR_SPEC, rng.normal(size=(200, 3)),
+        out = smoothed_target_actions(params, SMALL_ACTOR, rng.normal(size=(200, 3)),
                                       0.3, 0.5, rng)
         assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
         assert np.all(out >= 0.0)
@@ -130,8 +130,8 @@ class TestSmoothedTargetAction:
         """A +0.9 draw with clip 0.5 acts as +0.5."""
         params = self._params()
         states = np.array([[0.1, 0.1, 0.1]])
-        base = forward_batch(params, ACTOR_SPEC, states)[0]
-        got = smoothed_target_actions(params, ACTOR_SPEC, states, 1.0, 0.5,
+        base = forward_batch(params, SMALL_ACTOR, states)[0]
+        got = smoothed_target_actions(params, SMALL_ACTOR, states, 1.0, 0.5,
                                       _FixedNoise([[0.9, 0.0]]))
         raw = np.clip(base + np.array([0.5, 0.0]), 0.0, 1.0)
         np.testing.assert_allclose(got[0], raw / raw.sum(), atol=1e-15)
@@ -223,44 +223,44 @@ def _batch(rng, n=6):
 class TestCriticUpdate:
     def test_stationary_at_exact_targets(self):
         rng = np.random.default_rng(2)
-        params = init_params(CRITIC_SPEC, 2)
+        params = init_params(SMALL_CRITIC, 2)
         states, actions = _batch(rng)
         x = np.concatenate([states, actions], axis=1)
-        targets = forward_batch(params, CRITIC_SPEC, x)[:, 0]
+        targets = forward_batch(params, SMALL_CRITIC, x)[:, 0]
         (updated,), loss = critic_update(
-            params[None], CRITIC_SPEC, states, actions, targets, 0.1
+            params[None], SMALL_CRITIC, states, actions, targets, 0.1
         )
         np.testing.assert_array_equal(updated, params)
         assert loss == 0.0
 
     def test_zero_learning_rate(self):
         rng = np.random.default_rng(3)
-        params = init_params(CRITIC_SPEC, 3)
+        params = init_params(SMALL_CRITIC, 3)
         states, actions = _batch(rng)
         (updated,), _ = critic_update(
-            params[None], CRITIC_SPEC, states, actions, rng.normal(size=6), 0.0
+            params[None], SMALL_CRITIC, states, actions, rng.normal(size=6), 0.0
         )
         np.testing.assert_array_equal(updated, params)
 
     def test_single_transition_loss_decreases(self):
         rng = np.random.default_rng(4)
-        params = init_params(CRITIC_SPEC, 4)
+        params = init_params(SMALL_CRITIC, 4)
         states, actions = _batch(rng, n=1)
         targets = np.array([-2.0])
         (updated,), loss_before = critic_update(
-            params[None], CRITIC_SPEC, states, actions, targets, 0.05
+            params[None], SMALL_CRITIC, states, actions, targets, 0.05
         )
         _, loss_after = critic_update(
-            updated[None], CRITIC_SPEC, states, actions, targets, 0.05
+            updated[None], SMALL_CRITIC, states, actions, targets, 0.05
         )
         assert loss_after < loss_before
 
     def test_both_critics_updated_independently(self):
         rng = np.random.default_rng(5)
-        p1, p2 = init_params(CRITIC_SPEC, 6), init_params(CRITIC_SPEC, 7)
+        p1, p2 = init_params(SMALL_CRITIC, 6), init_params(SMALL_CRITIC, 7)
         states, actions = _batch(rng)
         (u1, u2), _ = critic_update(
-            np.stack([p1, p2]), CRITIC_SPEC, states, actions, rng.normal(size=6), 0.01
+            np.stack([p1, p2]), SMALL_CRITIC, states, actions, rng.normal(size=6), 0.01
         )
         assert np.any(u1 != p1) and np.any(u2 != p2)
         assert np.any(u1 != u2)
@@ -268,15 +268,15 @@ class TestCriticUpdate:
     def test_stack_matches_each_critic_alone(self):
         """Each row of a stacked update, and the mean loss, as K one-critic updates."""
         rng = np.random.default_rng(9)
-        critics = np.stack([init_params(CRITIC_SPEC, seed) for seed in (11, 12, 13)])
+        critics = np.stack([init_params(SMALL_CRITIC, seed) for seed in (11, 12, 13)])
         states, actions = _batch(rng, n=17)
         targets = rng.normal(size=17)
-        updated, loss = critic_update(critics, CRITIC_SPEC, states, actions, targets, 0.01)
+        updated, loss = critic_update(critics, SMALL_CRITIC, states, actions, targets, 0.01)
         for row, row_updated in zip(critics, updated):
-            (alone,), _ = critic_update(row[None], CRITIC_SPEC, states, actions, targets, 0.01)
+            (alone,), _ = critic_update(row[None], SMALL_CRITIC, states, actions, targets, 0.01)
             np.testing.assert_array_equal(row_updated, alone)
         x = np.concatenate([states, actions], axis=1)
-        row_losses = [float(((forward_batch(row, CRITIC_SPEC, x) - targets[:, None]) ** 2).mean())
+        row_losses = [float(((forward_batch(row, SMALL_CRITIC, x) - targets[:, None]) ** 2).mean())
                       for row in critics]
         assert loss == np.mean(row_losses)
 
@@ -284,26 +284,26 @@ class TestCriticUpdate:
 class TestActorUpdate:
     def test_zero_learning_rate(self):
         rng = np.random.default_rng(6)
-        actor = init_params(ACTOR_SPEC, 8)
-        critic = init_params(CRITIC_SPEC, 9)
+        actor = init_params(SMALL_ACTOR, 8)
+        critic = init_params(SMALL_CRITIC, 9)
         states = rng.normal(size=(5, 3))
-        updated = actor_update(actor, ACTOR_SPEC, critic, CRITIC_SPEC, states, 0.0)
+        updated = actor_update(actor, SMALL_ACTOR, critic, SMALL_CRITIC, states, 0.0)
         np.testing.assert_array_equal(updated, actor)
 
     def test_gradient_matches_finite_differences(self):
         """Ascent direction equals d/dtheta of batch-mean Q1(s, pi(s))."""
         rng = np.random.default_rng(7)
-        actor = rng.normal(0, 0.5, size=ACTOR_SPEC.param_count())
-        critic = rng.normal(0, 0.5, size=CRITIC_SPEC.param_count())
+        actor = rng.normal(0, 0.5, size=SMALL_ACTOR.param_count())
+        critic = rng.normal(0, 0.5, size=SMALL_CRITIC.param_count())
         states = rng.normal(size=(4, 3))
 
         def objective(theta):
-            acts = forward_batch(theta, ACTOR_SPEC, states)
+            acts = forward_batch(theta, SMALL_ACTOR, states)
             x = np.concatenate([states, acts], axis=1)
-            return float(forward_batch(critic, CRITIC_SPEC, x).mean())
+            return float(forward_batch(critic, SMALL_CRITIC, x).mean())
 
         lr = 1.0
-        analytic = actor_update(actor, ACTOR_SPEC, critic, CRITIC_SPEC, states, lr) - actor
+        analytic = actor_update(actor, SMALL_ACTOR, critic, SMALL_CRITIC, states, lr) - actor
         h = 1e-5
         numeric = np.zeros_like(actor)
         for j in range(actor.size):
@@ -316,10 +316,10 @@ class TestActorUpdate:
 
     def test_constant_critic_leaves_actor_unchanged(self):
         rng = np.random.default_rng(8)
-        actor = init_params(ACTOR_SPEC, 10)
-        constant_critic = np.zeros(CRITIC_SPEC.param_count())  # Q(s, a) = 0
+        actor = init_params(SMALL_ACTOR, 10)
+        constant_critic = np.zeros(SMALL_CRITIC.param_count())  # Q(s, a) = 0
         states = rng.normal(size=(5, 3))
-        updated = actor_update(actor, ACTOR_SPEC, constant_critic, CRITIC_SPEC, states, 0.5)
+        updated = actor_update(actor, SMALL_ACTOR, constant_critic, SMALL_CRITIC, states, 0.5)
         np.testing.assert_array_equal(updated, actor)
 
 
@@ -427,7 +427,7 @@ def _oracle_actor_update(actor_params, actor, critic1_params, critic, states, lr
 
 
 def _oracle_train(env, config):
-    a_spec, c_spec = actor_spec(), critic_spec()
+    a_spec, c_spec = ACTOR_SPEC, CRITIC_SPEC
     actor = init_params(a_spec, config.seed)
     critic1 = init_params(c_spec, config.seed + 1)
     critic2 = init_params(c_spec, config.seed + 2)
@@ -586,21 +586,21 @@ class TestNumericGuards:
     def test_non_finite_critic_loss(self):
         states, actions = _batch(np.random.default_rng(0))
         with pytest.raises(NumericError):
-            critic_update(init_params(CRITIC_SPEC, 1)[None], CRITIC_SPEC, states, actions,
+            critic_update(init_params(SMALL_CRITIC, 1)[None], SMALL_CRITIC, states, actions,
                           np.full(6, np.inf), 0.1)
 
     def test_non_finite_actor_gradient(self):
-        critic = np.full(CRITIC_SPEC.param_count(), np.nan)
+        critic = np.full(SMALL_CRITIC.param_count(), np.nan)
         states = np.random.default_rng(1).normal(size=(4, 3))
         with pytest.raises(NumericError):
-            actor_update(init_params(ACTOR_SPEC, 2), ACTOR_SPEC, critic, CRITIC_SPEC,
+            actor_update(init_params(SMALL_ACTOR, 2), SMALL_ACTOR, critic, SMALL_CRITIC,
                          states, 0.1)
 
     def test_update_input_shapes_checked(self):
         states, actions = _batch(np.random.default_rng(2))
         with pytest.raises(ShapeError):
-            critic_update(init_params(CRITIC_SPEC, 1)[None], CRITIC_SPEC, states[:, :2],
+            critic_update(init_params(SMALL_CRITIC, 1)[None], SMALL_CRITIC, states[:, :2],
                           actions, np.zeros(6), 0.1)
         with pytest.raises(ShapeError):
-            actor_update(init_params(ACTOR_SPEC, 2), ACTOR_SPEC,
-                         init_params(CRITIC_SPEC, 1), CRITIC_SPEC, states[:, :2], 0.1)
+            actor_update(init_params(SMALL_ACTOR, 2), SMALL_ACTOR,
+                         init_params(SMALL_CRITIC, 1), SMALL_CRITIC, states[:, :2], 0.1)
