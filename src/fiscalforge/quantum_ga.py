@@ -92,6 +92,9 @@ class GaConfig:
             raise ContractError("mutation_rate must lie in [0, 1]")
         if min(self.init_sigma, self.mutation_strength, self.rotation_sigma) < 0:
             raise ContractError("noise scales must be non-negative")
+        if not math.isfinite(2.0 * self.mutation_strength):
+            # The offset histogram spans (-s, s); a span that overflows has no finite bins.
+            raise ContractError("mutation_strength must be finite, at most half the largest float")
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,7 @@ class TestRunConfig:
             {"td3": {"buffer_capacity": 10**30}},
             {"td3": {"buffer_capacity": 2**62}},
             {"ga": {"population_size": 10**30}},
+            {"ga": {"mutation_strength": 1e308}},
         ],
         ids=["fraction-text", "fraction-list", "fraction-nan", "fraction-above-1",
              "fraction-zero", "path-number", "out-number",
@@ -154,7 +155,8 @@ class TestRunConfig:
              "lambda-text", "rate-non-finite", "belief-nan-text", "prior-overflow",
              "confidence-overflow", "prior-three", "number-text", "prior-text",
              "seed-bool", "seed-negative", "seed-minus-one", "tau-overflow", "tau-above-1",
-             "tau-negative", "capacity-huge", "capacity-2^62", "population-huge"],
+             "tau-negative", "capacity-huge", "capacity-2^62", "population-huge",
+             "strength-overflow"],
     )
     def test_malformed_value_exits_1(self, tmp_path, capsys, overrides):
         config = _write_config(tmp_path, overrides)
@@ -636,6 +638,7 @@ def _edit(doc, path, value):
 @example(edits=[(("environment", "prior"), [5, 3, 2])], cells=[])
 @example(edits=[(("environment", "lambda1"), "0.1"), (("data", "train_fraction"), "0.8"),
                 (("environment", "prior"), ["5", 3]), (("seed",), True)], cells=[])
+@example(edits=[(("ga", "mutation_strength"), 1e308)], cells=[])
 @example(edits=[], cells=[(22, 1, "1e308"), (22, 2, "1e308")])
 @example(edits=[], cells=[(1, 1, "1e308"), (1, 2, "1e308")])
 def test_malformed_input_never_escapes_main(edits, cells):
