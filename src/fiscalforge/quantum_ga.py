@@ -82,19 +82,19 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.generations < 0 or self.population_size < 1:
-            raise ContractError("need generations >= 0 and population_size >= 1")
-        if self.population_size > 2**31 - 1:
-            raise ContractError(f"population_size {self.population_size} exceeds 2**31 - 1")
+        if self.generations < 0 or not 0 < self.population_size < 2**31:
+            raise ContractError("need generations >= 0 and 0 < population_size < 2**31")
         if not 0.0 < self.elite_fraction <= 1.0:
             raise ContractError("elite_fraction must lie in (0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ContractError("mutation_rate must lie in [0, 1]")
         if min(self.init_sigma, self.mutation_strength, self.rotation_sigma) < 0:
             raise ContractError("noise scales must be non-negative")
-        if not math.isfinite(2.0 * self.mutation_strength):
-            # The offset histogram spans (-s, s); a span that overflows has no finite bins.
-            raise ContractError("mutation_strength must be finite, at most half the largest float")
+        try:  # numpy's rule for evolve's histogram: (-s, s) must split into finite bins
+            with np.errstate(over="ignore", invalid="ignore"):
+                perturbation_edges(self)
+        except ValueError as exc:
+            raise ContractError(f"mutation_strength {self.mutation_strength}: {exc}") from None
 
 
 @dataclass(frozen=True)

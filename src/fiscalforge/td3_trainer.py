@@ -139,10 +139,8 @@ class TD3Config:
             raise ContractError("gamma must lie in [0, 1)")
         if not 0.0 <= self.tau <= 1.0:
             raise ContractError("tau must lie in [0, 1]")
-        if self.actor_delay < 1 or self.batch_size < 1 or self.buffer_capacity < 1:
-            raise ContractError("actor_delay, batch_size, buffer_capacity must be positive")
-        if self.buffer_capacity > 2**31 - 1:
-            raise ContractError(f"buffer_capacity {self.buffer_capacity} exceeds 2**31 - 1")
+        if self.actor_delay < 1 or self.batch_size < 1 or not 0 < self.buffer_capacity < 2**31:
+            raise ContractError("need actor_delay, batch_size >= 1, 0 < buffer_capacity < 2**31")
         if self.batch_size > self.buffer_capacity:
             raise ContractError(
                 f"batch_size {self.batch_size} exceeds buffer_capacity {self.buffer_capacity}: "

@@ -148,6 +148,7 @@ class TestRunConfig:
             {"td3": {"buffer_capacity": 2**62}},
             {"ga": {"population_size": 10**30}},
             {"ga": {"mutation_strength": 1e308}},
+            {"ga": {"mutation_strength": 5e-324}},
         ],
         ids=["fraction-text", "fraction-list", "fraction-nan", "fraction-above-1",
              "fraction-zero", "path-number", "out-number",
@@ -156,7 +157,7 @@ class TestRunConfig:
              "confidence-overflow", "prior-three", "number-text", "prior-text",
              "seed-bool", "seed-negative", "seed-minus-one", "tau-overflow", "tau-above-1",
              "tau-negative", "capacity-huge", "capacity-2^62", "population-huge",
-             "strength-overflow"],
+             "strength-overflow", "strength-subnormal"],
     )
     def test_malformed_value_exits_1(self, tmp_path, capsys, overrides):
         config = _write_config(tmp_path, overrides)

@@ -23,6 +23,7 @@ from fiscalforge.errors import (
     DomainError,
     SequenceError,
 )
+from fiscalforge.special_functions import dirichlet_kl
 
 from conftest import DATA_DIR, make_series, oracle_tables
 
@@ -110,23 +111,37 @@ class TestActionValidation:
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
+def _bits(result):
+    """The bytes of a step's four reward terms and its next state."""
+    r = result.reward
+    terms = np.array([r.accuracy_term, r.smoothness_term, r.belief_term, r.total])
+    return terms.tobytes() + result.next_state.tobytes()
+
+
 class TestReset:
     def test_belief_equals_prior(self):
-        """The running belief starts from the prior: the first step adds to (5, 3)."""
+        """After a finished episode, reset's first step penalizes prior + evidence of quarter 1."""
         env = _env(BASIC_ROWS, belief=BeliefConfig(prior=(5.0, 3.0)))
         env.reset()
-        np.testing.assert_array_equal(
-            env.alphas[0], np.array([5.0, 3.0]) + env.belief_config.confidence * env.empirical[0]
-        )
+        while not env.done:
+            env.step(np.array([0.5, 0.5]))
+        env.reset()
+        prior = np.array([5.0, 3.0])
+        belief = prior + env.belief_config.confidence * env.empirical[0]
+        expected = -env.reward_config.lambda2 * dirichlet_kl(belief, prior)
+        assert env.step(np.array([0.5, 0.5])).reward.belief_term == expected
 
     def test_idempotent(self):
+        """Every reset rewinds the episode: the same first step gives the same bits."""
         env = _env(BASIC_ROWS)
-        alphas = env.alphas.copy()
+        action = np.array([0.3, 0.7])
         s1 = env.reset()
-        env.step(np.array([0.5, 0.5]))
-        s2 = env.reset()
-        np.testing.assert_array_equal(s1, s2)
-        np.testing.assert_array_equal(env.alphas, alphas)
+        first = env.step(action)
+        for _ in range(2):
+            env.step(action)
+            np.testing.assert_array_equal(env.reset(), s1)
+            again = env.step(action)
+            assert _bits(again) == _bits(first)
 
     def test_two_quarter_series_finishes_in_one_step(self):
         env = _env(BASIC_ROWS[:2])
