@@ -5,10 +5,8 @@ given (config file, input artifacts): rerunning a command overwrites
 its outputs with byte-identical bytes, and removes what later stages
 of an earlier run left in the output directory. Every artifact is
 written atomically (fiscalforge.atomic), so a failed or interrupted
-write leaves the old file whole. The master seed
-derives stage seeds as seed+1/+2/+3 for environment, training, and
-refinement (the environment slot is reserved; the environment itself
-has no randomness).
+write leaves the old file whole. The master seed derives the stage
+seeds: seed+2 for training and seed+3 for refinement.
 
 Each config value is checked by one rule per declared field type. A
 RunConfig builds its inputs once, on first use: one CSV parse and one
@@ -26,14 +24,14 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_open
+from .atomic import write_csv, write_json, write_jsonl
 from .data_ingest import FinancialSeries, chrono_split, fit_scaler, load_series
 from .environment import BeliefConfig, BudgetEnv, RewardConfig, write_trace
 from .errors import (
@@ -53,7 +51,7 @@ from .neural_core import (
     save_checkpoint,
 )
 from .quantum_ga import GaConfig, evaluate_fitness, evolve, perturbation_edges
-from .td3_trainer import ACTION_DIM, CRITIC_SPEC, STATE_DIM, TD3Config, TrainedPolicy, train
+from .td3_trainer import ACTION_DIM, STATE_DIM, TD3Config, TrainedPolicy, train
 
 __all__ = ["RunConfig", "main", "entrypoint"]
 
@@ -80,7 +78,6 @@ class RunConfig:
     td3: TD3Config
     ga: GaConfig
     output_dir: Path
-    seed: int
 
     @cached_property
     def _splits(self):
@@ -193,22 +190,10 @@ def load_run_config(
         td3=_build(TD3Config, "td3", doc.get("td3", {}), seed=seed + 2),
         ga=_build(GaConfig, "ga", doc.get("ga", {}), seed=seed + 3),
         output_dir=doc.get("output_dir", Path("runs/default")),
-        seed=seed,
     )
 
 
 # -- shared stage helpers -----------------------------------------------------
-
-
-def _write_json(path: Path, obj) -> None:
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _write_jsonl(path: Path, rows) -> None:
-    with atomic_open(path) as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _remove(out: Path, names) -> None:
@@ -240,15 +225,11 @@ def cmd_train(cfg: RunConfig) -> TrainedPolicy:
     _remove(out, _REFINE_OUTPUTS + _EVALUATE_OUTPUTS)
     save_checkpoint(out / ACTOR_CKPT, policy.spec, policy.params)
     export_json(out / "actor.json", policy.spec, policy.params)
-    for name, params in policy.aux_params.items():
-        spec = CRITIC_SPEC if "critic" in name else policy.spec
+    for name, (spec, params) in policy.aux_params.items():
         save_checkpoint(out / f"{name}.ckpt", spec, params)
-    _write_jsonl(
+    write_jsonl(
         out / "history.jsonl",
-        (
-            {"episode": i, "cumulative_reward": r}
-            for i, r in enumerate(policy.episode_rewards)
-        ),
+        ({"episode": i, "cumulative_reward": r} for i, r in enumerate(policy.episode_rewards)),
     )
     tail = policy.episode_rewards[-10:]
     mean = f"{float(np.mean(tail)):.6f}" if tail else "n/a (no episode completed)"
@@ -263,28 +244,17 @@ def cmd_refine(cfg: RunConfig) -> ActorPolicy:
     refined, logs = evolve(base, env, cfg.ga)
 
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     _remove(out, _EVALUATE_OUTPUTS)
     save_checkpoint(out / REFINED_CKPT, refined.spec, refined.params)
-    _write_jsonl(
-        out / "generations.jsonl",
-        (
-            {
-                "generation": g.generation,
-                "best": g.best,
-                "mean": g.mean,
-                "fitnesses": list(g.fitnesses),
-                "n_mutations": g.n_mutations,
-            }
-            for g in logs
-        ),
-    )
+    # Each generation's record is its log; the histogram goes to perturbations.csv.
+    write_jsonl(out / "generations.jsonl",
+                ({k: v for k, v in asdict(g).items() if k != "histogram"} for g in logs))
     edges = perturbation_edges(cfg.ga).tolist()
-    with atomic_open(out / "perturbations.csv") as fh:
-        fh.write("generation,bin_low,bin_high,count\n")
-        for g in logs:
-            for low, high, count in zip(edges, edges[1:], g.histogram):
-                fh.write(f"{g.generation},{low!r},{high!r},{count}\n")
+    write_csv(
+        out / "perturbations.csv", ("generation", "bin_low", "bin_high", "count"),
+        ((g.generation, low, high, count)
+         for g in logs for low, high, count in zip(edges, edges[1:], g.histogram)),
+    )
     for g in logs:
         print(f"generation {g.generation} best fitness: {g.best:.6f}")
     return refined
@@ -297,14 +267,13 @@ def cmd_evaluate(cfg: RunConfig) -> MetricsReport:
         ckpt = cfg.output_dir / ACTOR_CKPT
     policy = _load_actor(ckpt)
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     report, actions, rewards = evaluate_policy(policy, env)
     write_trace(env, actions, rewards, out / "trace.jsonl")
-    _write_json(out / "metrics.json", report.to_dict())
-    with atomic_open(out / "pairs.csv") as fh:
-        fh.write("t,pred_rnd,pred_sga,actual_rnd,actual_sga\n")
-        for t, row in enumerate(np.hstack([actions, env.empirical]).tolist()):
-            fh.write(f"{t},{','.join(map(repr, row))}\n")
+    write_json(out / "metrics.json", asdict(report))
+    write_csv(
+        out / "pairs.csv", ("t", "pred_rnd", "pred_sga", "actual_rnd", "actual_sga"),
+        ((t, *row) for t, row in enumerate(np.hstack([actions, env.empirical]).tolist())),
+    )
     print(f"mae: {report.mae:.6f}")
     print(f"rmse: {report.rmse:.6f}")
     print(f"cosine_similarity: {report.cosine_similarity:.6f}")
@@ -322,11 +291,11 @@ def cmd_pipeline(cfg: RunConfig) -> None:
 
     post_report = cmd_evaluate(cfg)
 
-    _write_json(
+    write_json(
         cfg.output_dir / "summary.json",
         {
-            "pre_refinement": {"fitness": pre_fitness, "metrics": pre_report.to_dict()},
-            "post_refinement": {"fitness": post_fitness, "metrics": post_report.to_dict()},
+            "pre_refinement": {"fitness": pre_fitness, "metrics": asdict(pre_report)},
+            "post_refinement": {"fitness": post_fitness, "metrics": asdict(post_report)},
         },
     )
     print(

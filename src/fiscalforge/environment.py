@@ -41,14 +41,13 @@ scaled units; actions and empirical allocations are length-2 simplex
 arrays [rnd_share, sga_share].
 """
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_jsonl
 from .data_ingest import FinancialSeries, ScalerParams
 from .errors import ContractError, DataError, DomainError, SequenceError
 from .special_functions import dirichlet_kl
@@ -263,18 +262,9 @@ def write_trace(
         rewards.belief_term.tolist(), rewards.total.tolist(),
         strict=True,
     )
-    with atomic_open(path) as fh:
-        for t, (action, empirical, alpha, accuracy, smoothness, belief, total) in enumerate(rows):
-            record = {
-                "t": t,
-                "action": action,
-                "empirical": empirical,
-                "reward_terms": {
-                    "accuracy": accuracy,
-                    "smoothness": smoothness,
-                    "belief": belief,
-                    "total": total,
-                },
-                "alpha": alpha,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(path, (
+        {"t": t, "action": action, "empirical": empirical, "alpha": alpha,
+         "reward_terms": {"accuracy": accuracy, "smoothness": smoothness,
+                          "belief": belief, "total": total}}
+        for t, (action, empirical, alpha, accuracy, smoothness, belief, total) in enumerate(rows)
+    ))

@@ -40,15 +40,6 @@ class MetricsReport:
     kl_divergence: float
     n_quarters: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "cosine_similarity": self.cosine_similarity,
-            "kl_divergence": self.kl_divergence,
-            "n_quarters": self.n_quarters,
-        }
-
 
 def _rows(predicted: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both arguments as float64 (T, 2) arrays of equal shape, T >= 1."""

@@ -26,15 +26,14 @@ one, so action [i, t] equals ``forward_actor(genomes[i], spec,
 states[t])`` bit for bit.
 """
 
-import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 from .errors import ArtifactError, ContractError, NumericError, ShapeError
 
 __all__ = [
@@ -218,7 +217,8 @@ def forward_population(genomes: np.ndarray, spec: MlpSpec, states: np.ndarray) -
         raise ShapeError(
             f"expected genomes of shape (n, {spec.param_count()}), got {genomes.shape}"
         )
-    y = _forward_cached(genomes[:, None], spec, _as_batch(spec, states)[:, None, :])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        y = _forward_cached(genomes[:, None], spec, _as_batch(spec, states)[:, None, :])[0]
     if not np.all(np.isfinite(y)):
         raise NumericError("actor produced a non-finite allocation")
     return y[:, :, 0]
@@ -310,13 +310,5 @@ def load_checkpoint(path: str | Path) -> tuple[MlpSpec, np.ndarray]:
 
 
 def export_json(path: str | Path, spec: MlpSpec, params: np.ndarray) -> None:
-    """Human-inspectable mirror of the binary checkpoint."""
-    doc = {
-        "input_dim": spec.input_dim,
-        "hidden_dims": list(spec.hidden_dims),
-        "output_dim": spec.output_dim,
-        "output_head": spec.output_head,
-        "params": [float(v) for v in _as_vector(spec, params)],
-    }
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Human-inspectable mirror of the binary checkpoint: the spec's fields and the params."""
+    write_json(path, asdict(spec) | {"params": _as_vector(spec, params).tolist()})

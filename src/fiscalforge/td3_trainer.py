@@ -158,7 +158,7 @@ class TrainedPolicy(ActorPolicy):
     """Actor policy plus its per-episode rewards and the other trained networks."""
 
     episode_rewards: tuple[float, ...]
-    aux_params: dict[str, np.ndarray]  # the critics have CRITIC_SPEC's layout
+    aux_params: dict[str, tuple[MlpSpec, np.ndarray]]  # name -> (spec, params)
 
 
 def smoothed_target_actions(
@@ -261,12 +261,16 @@ def soft_update(target_params: np.ndarray, online_params: np.ndarray, tau: float
     return (1.0 - tau) * target_params + tau * online_params
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
     """Run episodes back-to-back until the timestep budget is spent.
 
     A NumericError raised in an update, or in the exploration action
     after it, is re-raised naming the update's index (counted from 1)
-    and the network, critic or actor, that failed.
+    and the network, critic or actor, that failed. So is a non-finite
+    parameter after the last update, which no later check would see.
+    numpy's overflow and invalid-value warnings are off: these checks
+    report the failure instead.
     """
     n_actor = ACTOR_SPEC.param_count()
 
@@ -335,6 +339,10 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
                                         config.learning_rate)
                 target = soft_update(target, online, config.tau)
                 actor_t, critics_t = split(target)
+        finite = np.isfinite(online) & np.isfinite(target)
+        if not finite.all():
+            network = "critic" if finite[:n_actor].all() else "actor"
+            raise NumericError("parameters are non-finite after the last update")
     except NumericError as exc:
         raise NumericError(f"update {n_updates}, {network}: {exc}") from exc
 
@@ -343,10 +351,10 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
         params=actor,
         episode_rewards=tuple(episode_rewards),
         aux_params={
-            "critic1": critics[0],
-            "critic2": critics[1],
-            "actor_target": actor_t,
-            "critic1_target": critics_t[0],
-            "critic2_target": critics_t[1],
+            "critic1": (CRITIC_SPEC, critics[0]),
+            "critic2": (CRITIC_SPEC, critics[1]),
+            "actor_target": (ACTOR_SPEC, actor_t),
+            "critic1_target": (CRITIC_SPEC, critics_t[0]),
+            "critic2_target": (CRITIC_SPEC, critics_t[1]),
         },
     )

@@ -9,6 +9,7 @@ user-supplied CSV, and it reports rather than gates.
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ def test_criterion_9_soft_directional_check(tmp_path):
 
     outcome = {
         "seed": seed,
-        "observed": report.to_dict(),
+        "observed": asdict(report),
         "targets": {"cosine_similarity_min": 0.95, "kl_divergence_max": 0.05},
         "met": {
             "cosine_similarity": report.cosine_similarity >= 0.95,

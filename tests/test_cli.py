@@ -68,6 +68,18 @@ def _write_config(tmp_path, overrides=None, out_name="out"):
     return path
 
 
+def _run_process(command, config, env_extra=None):
+    """`python -m fiscalforge.cli COMMAND --config CONFIG` in a fresh process, with
+    Python's default warning filters and log level."""
+    env = {k: v for k, v in os.environ.items() if k not in ("FISCALFORGE_LOG", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = str(Path(fiscalforge.__file__).resolve().parents[1])
+    env.update(env_extra or {})
+    return subprocess.run(
+        [sys.executable, "-m", "fiscalforge.cli", command, "--config", str(config)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 class TestRunConfig:
     def test_defaults_fill_in(self, tmp_path):
         cfg = load_run_config(_write_config(tmp_path))
@@ -76,13 +88,12 @@ class TestRunConfig:
 
     def test_master_seed_derives_stage_seeds(self, tmp_path):
         cfg = load_run_config(_write_config(tmp_path))
-        assert cfg.seed == 7
         assert cfg.td3.seed == 9
         assert cfg.ga.seed == 10
 
     def test_seed_override(self, tmp_path):
         cfg = load_run_config(_write_config(tmp_path), seed_override=60)
-        assert (cfg.seed, cfg.td3.seed, cfg.ga.seed) == (60, 62, 63)
+        assert (cfg.td3.seed, cfg.ga.seed) == (62, 63)
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown top-level"):
@@ -224,6 +235,30 @@ class TestTrainCommand:
             assert main(["train", "--config", str(config)]) == 4
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            # Exactly one update, which leaves the critics non-finite.
+            ("train", {"td3": {"learning_rate": 1e308, "total_timesteps": 101,
+                               "warmup_steps": 100, "batch_size": 16}},
+             "update 1, critic: parameters are non-finite"),
+            ("train", {"td3": {"learning_rate": 1e300}}, "update 2, critic: critic loss"),
+            # The largest strength numpy can bin overflows the mutated actors.
+            ("pipeline", {"ga": {"mutation_strength": 8.988465674311579e307}},
+             "non-finite allocation"),
+        ],
+        ids=["last-update", "critic-loss", "mutated-actor"],
+    )
+    def test_numeric_failure_prints_one_line(self, tmp_path, command, overrides, message):
+        """Exit 4 with the failure's message as the only stderr line (no numpy
+        warning first); a failed training writes no checkpoint."""
+        done = _run_process(command, _write_config(tmp_path, overrides))
+        assert done.returncode == 4, done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("fiscalforge: numeric failure: ") and message in line, line
+        if command == "train":
+            assert not (tmp_path / "out").exists()
+
     def test_batch_larger_than_buffer_exits_1(self, tmp_path, capsys):
         """A buffer smaller than one minibatch would never start updating the actor."""
         config = _write_config(tmp_path, {"td3": {"buffer_capacity": 16, "batch_size": 64,
@@ -239,14 +274,8 @@ class TestTrainCommand:
         Through the module entry point, in a fresh process.
         """
         config = _write_config(tmp_path, {"td3": {"total_timesteps": 10, "warmup_steps": 5}})
-        env = {k: v for k, v in os.environ.items() if k != "FISCALFORGE_LOG"}
-        env["PYTHONPATH"] = str(Path(fiscalforge.__file__).resolve().parents[1])
-        if level is not None:
-            env["FISCALFORGE_LOG"] = level
-        done = subprocess.run(
-            [sys.executable, "-m", "fiscalforge.cli", "train", "--config", str(config)],
-            env=env, capture_output=True, text=True, check=True,
-        )
+        done = _run_process("train", config, {} if level is None else {"FISCALFORGE_LOG": level})
+        assert done.returncode == 0, done.stderr
         logged = "INFO fiscalforge: training for 10 timesteps" in done.stderr
         assert logged == (level == "info"), done.stderr
 

@@ -1,6 +1,7 @@
 """Metric definitions and held-out scoring."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -227,6 +228,6 @@ class TestEvaluatePolicy:
     def test_report_dict_has_exactly_five_fields(self):
         series, scaler = self._setup()
         report = evaluate_policy(_UniformPolicy(), BudgetEnv(series, scaler))[0]
-        assert set(report.to_dict()) == {
+        assert set(asdict(report)) == {
             "mae", "rmse", "cosine_similarity", "kl_divergence", "n_quarters",
         }

@@ -363,7 +363,7 @@ class TestTrain:
         assert p1.episode_rewards == p2.episode_rewards
         np.testing.assert_array_equal(p1.params, p2.params)
         for key in p1.aux_params:
-            np.testing.assert_array_equal(p1.aux_params[key], p2.aux_params[key])
+            np.testing.assert_array_equal(p1.aux_params[key][1], p2.aux_params[key][1])
 
     def test_all_actions_on_simplex(self, monkeypatch):
         """Every action row training takes, as drawn, before validate_action renormalizes it."""
@@ -509,7 +509,7 @@ class TestFusedTrainOracle:
         np.testing.assert_array_equal(policy.params, actor)
         names = ("critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
         for name, expected in zip(names, aux):
-            np.testing.assert_array_equal(policy.aux_params[name], expected, err_msg=name)
+            np.testing.assert_array_equal(policy.aux_params[name][1], expected, err_msg=name)
         assert list(policy.episode_rewards) == rewards
 
 
@@ -560,7 +560,7 @@ class TestTrainOracleProperty:
         np.testing.assert_array_equal(policy.params, actor)
         names = ("critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
         for name, expected in zip(names, aux):
-            np.testing.assert_array_equal(policy.aux_params[name], expected, err_msg=name)
+            np.testing.assert_array_equal(policy.aux_params[name][1], expected, err_msg=name)
         assert list(policy.episode_rewards) == rewards
 
 
