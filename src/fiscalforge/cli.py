@@ -37,8 +37,8 @@ from .environment import BeliefConfig, BudgetEnv, RewardConfig, write_trace
 from .errors import (
     ArtifactError,
     ConfigError,
+    ContractError,
     DataError,
-    DomainError,
     FiscalForgeError,
     NumericError,
 )
@@ -97,7 +97,7 @@ class RunConfig:
         # Only the belief settings can put the env's tables out of domain.
         try:
             return BudgetEnv(part, self._splits[2], self.reward, self.belief)
-        except DomainError as exc:
+        except ContractError as exc:
             raise ConfigError(f"bad 'environment' section: {exc}") from exc
 
 
@@ -285,8 +285,9 @@ def cmd_pipeline(cfg: RunConfig) -> None:
     base = cmd_train(cfg)
     refined = cmd_refine(cfg)
 
-    pre_fitness = evaluate_fitness(base.params, base.spec, cfg.train_env)
-    post_fitness = evaluate_fitness(refined.params, refined.spec, cfg.train_env)
+    pre_fitness, post_fitness = evaluate_fitness(
+        np.stack([base.params, refined.params]), base.spec, cfg.train_env
+    ).tolist()
     pre_report = evaluate_policy(base, cfg.test_env)[0]
 
     post_report = cmd_evaluate(cfg)

@@ -21,7 +21,7 @@ the belief vectors (a sequential running sum from the prior) and, in
 the one per-step loop, the belief penalties. A series with a
 non-positive rnd + sga in any quarter after the first raises DataError;
 a belief vector or penalty that is not finite (a prior or confidence
-near the float maximum) raises DomainError. The states, empirical
+near the float maximum) raises ContractError. The states, empirical
 shares and belief vectors are published as read-only tables.
 
 One reward helper, rewards(a, prev, t), scores validated actions
@@ -49,7 +49,7 @@ import numpy as np
 
 from .atomic import write_jsonl
 from .data_ingest import FinancialSeries, ScalerParams
-from .errors import ContractError, DataError, DomainError, SequenceError
+from .errors import ContractError, DataError
 from .special_functions import dirichlet_kl
 
 __all__ = [
@@ -74,7 +74,7 @@ class RewardConfig:
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
-            raise DomainError("penalty weights must be non-negative")
+            raise ContractError("penalty weights must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,14 @@ class BeliefConfig:
     def __post_init__(self):
         object.__setattr__(self, "prior", tuple(float(p) for p in self.prior))
         if len(self.prior) != 2:
-            raise DomainError(
+            raise ContractError(
                 "this environment models exactly two budget categories; "
                 f"prior has {len(self.prior)}"
             )
         if any(p <= 0 for p in self.prior):
-            raise DomainError("prior concentrations must be positive")
+            raise ContractError("prior concentrations must be positive")
         if self.confidence < 0:
-            raise DomainError("confidence must be non-negative")
+            raise ContractError("confidence must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,9 @@ class BudgetEnv:
             try:
                 term = -self.reward_config.lambda2 * dirichlet_kl(alpha, self._prior)
             except OverflowError as exc:  # fsum of concentrations near the float maximum
-                raise DomainError(f"belief at step {t} overflows: {exc}") from exc
+                raise ContractError(f"belief at step {t} overflows: {exc}") from exc
             if not math.isfinite(term):
-                raise DomainError(f"belief penalty at step {t} is not finite: {term}")
+                raise ContractError(f"belief penalty at step {t} is not finite: {term}")
             self._belief_terms[t] = term
         self._t: int | None = None
         self._prev_action = UNIFORM_ACTION.copy()
@@ -201,9 +201,9 @@ class BudgetEnv:
 
     def step(self, action: np.ndarray) -> StepResult:
         if self._t is None:
-            raise SequenceError("step() before reset()")
+            raise ContractError("step() before reset()")
         if self.done:
-            raise SequenceError("step() after the episode finished")
+            raise ContractError("step() after the episode finished")
         a = validate_action(action)
         t = self._t
         reward = self.rewards(a, self._prev_action, t)

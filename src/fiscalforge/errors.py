@@ -1,8 +1,9 @@
 """Exception taxonomy shared by every module.
 
-The CLI maps these onto process exit codes, so raising the right class
-matters: DataError -> 2, ArtifactError -> 3, NumericError -> 4, and
-ConfigError -> 1. Everything else is a plain bug.
+The CLI maps every class but ContractError onto a process exit code, so
+raising the right class matters: ConfigError -> 1, DataError -> 2,
+ArtifactError -> 3 and NumericError -> 4. A ContractError is a caller's
+bug and has no exit code.
 """
 
 
@@ -18,20 +19,8 @@ class DataError(FiscalForgeError):
     """Unusable input data: missing file, malformed CSV, degenerate column."""
 
 
-class DomainError(FiscalForgeError, ValueError):
-    """Argument outside a function's mathematical domain."""
-
-
-class ShapeError(FiscalForgeError, ValueError):
-    """Mismatched vector lengths or parameter layouts."""
-
-
 class ContractError(FiscalForgeError, ValueError):
-    """Caller violated an operation's contract (off-simplex action, unevaluated fitness)."""
-
-
-class SequenceError(FiscalForgeError, RuntimeError):
-    """Operation invoked out of order, e.g. stepping a finished environment."""
+    """A caller's bug: an argument out of domain, mismatched shapes, a call out of order."""
 
 
 class NumericError(FiscalForgeError, ArithmeticError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import BudgetEnv, RewardBreakdown
-from .errors import DataError, DomainError, ShapeError
+from .errors import ContractError, DataError
 
 __all__ = [
     "MetricsReport",
@@ -46,7 +46,7 @@ def _rows(predicted: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.nda
     p = np.asarray(predicted, dtype=np.float64)
     a = np.asarray(actual, dtype=np.float64)
     if p.shape != a.shape or p.ndim != 2 or p.shape[1] != 2:
-        raise ShapeError(f"expected two (T, 2) arrays, got {p.shape} and {a.shape}")
+        raise ContractError(f"expected two (T, 2) arrays, got {p.shape} and {a.shape}")
     if not len(p):
         raise DataError("no allocation pairs to score")
     return p, a
@@ -75,7 +75,7 @@ def cosine_similarity(predicted: np.ndarray, actual: np.ndarray) -> float:
     p, a = _rows(predicted, actual)
     p_norms, a_norms = np.sqrt(_dots(p, p)), np.sqrt(_dots(a, a))
     if np.any(p_norms == 0.0) or np.any(a_norms == 0.0):
-        raise DomainError("cosine similarity undefined for a zero vector")
+        raise ContractError("cosine similarity undefined for a zero vector")
     return float(np.mean(_dots(p, a) / (p_norms * a_norms)))
 
 

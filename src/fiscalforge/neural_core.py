@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open, write_json
-from .errors import ArtifactError, ContractError, NumericError, ShapeError
+from .errors import ArtifactError, ContractError, NumericError
 
 __all__ = [
     "MlpSpec",
@@ -109,7 +109,7 @@ def unflatten(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.nd
     """(..., P) stack -> [(W (..., out, in), b (..., out))] views, read-only by convention."""
     params = np.asarray(params, dtype=np.float64)
     if params.ndim < 1 or params.shape[-1] != spec.param_count():
-        raise ShapeError(f"parameter shape {params.shape} does not end in {spec.param_count()}")
+        raise ContractError(f"parameter shape {params.shape} does not end in {spec.param_count()}")
     lead = params.shape[:-1]
     return [(params[..., w].reshape(*lead, *shape), params[..., b])
             for w, b, shape in spec._layout]
@@ -171,18 +171,20 @@ def _backward(spec, cache, upstream):
 
 
 def _as_batch(spec: MlpSpec, x) -> np.ndarray:
-    """x as a float64 (n, input_dim) matrix, or ShapeError."""
+    """x as a float64 (n, input_dim) matrix, or ContractError."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ShapeError(f"expected input of shape (n, {spec.input_dim}), got {x.shape}")
+        raise ContractError(f"expected input of shape (n, {spec.input_dim}), got {x.shape}")
     return x
 
 
 def _as_vector(spec: MlpSpec, params) -> np.ndarray:
-    """params as one float64 network of spec, not a stack, or ShapeError."""
+    """params as one float64 network of spec, not a stack, or ContractError."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.param_count(),):
-        raise ShapeError(f"expected parameter shape ({spec.param_count()},), got {params.shape}")
+        raise ContractError(
+            f"expected parameter shape ({spec.param_count()},), got {params.shape}"
+        )
     return params
 
 
@@ -214,7 +216,7 @@ def forward_population(genomes: np.ndarray, spec: MlpSpec, states: np.ndarray) -
         raise ContractError("forward_population requires a simplex output head")
     genomes = np.asarray(genomes, dtype=np.float64)
     if genomes.ndim != 2 or genomes.shape[1] != spec.param_count():
-        raise ShapeError(
+        raise ContractError(
             f"expected genomes of shape (n, {spec.param_count()}), got {genomes.shape}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -235,7 +237,7 @@ def vjp_batch(
     x = _as_batch(spec, x)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (x.shape[0], spec.output_dim):
-        raise ShapeError(
+        raise ContractError(
             f"upstream gradient shape {upstream.shape} does not match "
             f"({x.shape[0]}, {spec.output_dim})"
         )
@@ -302,7 +304,7 @@ def load_checkpoint(path: str | Path) -> tuple[MlpSpec, np.ndarray]:
         spec = MlpSpec(input_dim, hidden, output_dim, _HEAD_NAMES[head])
     except ArtifactError:
         raise
-    except (struct.error, ValueError, OverflowError, KeyError, ContractError) as exc:
+    except (struct.error, ValueError, OverflowError, KeyError) as exc:
         raise ArtifactError(f"{path}: corrupt checkpoint ({exc})") from exc
     if params.size != spec.param_count() or offset + 8 * count != len(blob):
         raise ArtifactError(f"{path}: checkpoint payload does not match its header")

@@ -17,19 +17,18 @@ Since no offset exceeds the strength, every offset is counted, and a
 generation's counts sum to its n_mutations.
 
 The population is one (N, P) array of genome rows with a fitness
-vector beside it (NaN until a row is scored). Fitness is the cumulative
-reward of one greedy episode with the genome's noise-free actor; the
-episode is deterministic, so one suffices. It is also open-loop, since
-the state of step t is quarter t whatever the actions, so
-evaluate_population scores every unscored row at once: one
-forward_population call gives all their actions and
+vector beside it. Fitness is the cumulative reward of one greedy episode
+with the genome's noise-free actor; the episode is deterministic, so one
+suffices. It is also open-loop, since the state of step t is quarter t
+whatever the actions, so evaluate_fitness scores a whole stack of rows
+at once: one forward_population call gives all their actions and
 BudgetEnv.episode_totals all their totals, each bit-identical to the sum
-of step()'s rewards for the same actions. evaluate_fitness is its
-one-genome case.
+of step()'s rewards for the same actions and to a one-row call.
 
 The best individual ever seen is carried forward unmodified each
-generation, so the best fitness can never regress below the input
-policy's own score.
+generation as row 0, so the best fitness can never regress below the
+input policy's own score. Row 0 keeps its recorded score; each later
+generation scores only the contiguous view population[1:].
 
 The two operators never branch per gene on their random masks: a branch
 on a random mask is mispredicted on a large share of the genes (about
@@ -50,14 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import BudgetEnv
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .neural_core import ActorPolicy, MlpSpec, forward_population
 
 __all__ = [
     "GaConfig",
     "GenerationLog",
     "init_population",
-    "evaluate_population",
     "evaluate_fitness",
     "select_elites",
     "uniform_crossover",
@@ -114,8 +112,8 @@ def init_population(base: np.ndarray, config: GaConfig, rng: np.random.Generator
     return np.vstack([base, base + noise])
 
 
-def evaluate_population(genomes: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> np.ndarray:
-    """Cumulative greedy-episode reward of each genome row, all rows in one pass.
+def evaluate_fitness(genomes: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> np.ndarray:
+    """Cumulative greedy-episode reward of each row of an (N, P) genome stack: (N,).
 
     A greedy episode is open-loop: the state of step t is quarter t
     whatever the actions, so every action of every genome comes from one
@@ -124,17 +122,12 @@ def evaluate_population(genomes: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> n
     return env.episode_totals(forward_population(genomes, spec, env.states[:-1]))
 
 
-def evaluate_fitness(genome: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> float:
-    """Cumulative reward of one greedy (noise-free) episode: evaluate_population of one row."""
-    return float(evaluate_population(np.asarray(genome)[None], spec, env)[0])
-
-
 def select_elites(fitness: np.ndarray, elite_fraction: float) -> np.ndarray:
     """Indices of the top ceil(fraction * N) fitnesses, ties broken by lower index."""
     fitness = np.asarray(fitness, dtype=np.float64)
-    unscored = np.flatnonzero(np.isnan(fitness))
-    if unscored.size:
-        raise ContractError(f"individual {unscored[0]} has no fitness yet")
+    nan = np.flatnonzero(np.isnan(fitness))
+    if nan.size:
+        raise ContractError(f"individual {nan[0]} has a NaN fitness")
     k = math.ceil(elite_fraction * len(fitness))
     return np.argsort(-fitness, kind="stable")[:k]
 
@@ -146,7 +139,7 @@ def uniform_crossover(
     parent_a = np.asarray(parent_a, dtype=np.float64)
     parent_b = np.asarray(parent_b, dtype=np.float64)
     if parent_a.shape != parent_b.shape:
-        raise ShapeError("parents have different genome lengths")
+        raise ContractError("parents have different genome lengths")
     mask = rng.random(parent_a.shape) < 0.5
     a, b = parent_a.view(np.int64), parent_b.view(np.int64)
     child = np.negative(mask, dtype=np.int64)  # -1 (all bits set) picks parent_a
@@ -193,13 +186,14 @@ def evolve(
 
     rng = np.random.default_rng(config.seed)
     population = init_population(base_policy.params, config, rng)
-    fitness = np.full(len(population), np.nan)  # NaN: not scored yet
+    fitness = evaluate_fitness(population, base_policy.spec, env)
     best_genome = base_policy.params.copy()
     best_fitness = -math.inf
 
     for generation in range(config.generations):
-        unscored = np.isnan(fitness)
-        fitness[unscored] = evaluate_population(population[unscored], base_policy.spec, env)
+        if generation:  # row 0, the carried all-time best, keeps its recorded score
+            fitness[0] = best_fitness
+            fitness[1:] = evaluate_fitness(population[1:], base_policy.spec, env)
         gen_best_idx = int(np.argmax(fitness))
         if fitness[gen_best_idx] > best_fitness:
             best_fitness = fitness[gen_best_idx]
@@ -230,7 +224,5 @@ def evolve(
             )
         )
         population = children
-        fitness = np.full(len(children), np.nan)
-        fitness[0] = best_fitness
 
     return ActorPolicy(base_policy.spec, best_genome.copy()), logs

@@ -13,7 +13,7 @@ All functions are pure and thread-safe.
 import math
 from collections.abc import Sequence
 
-from .errors import DomainError, ShapeError
+from .errors import ContractError
 
 __all__ = ["ln_gamma", "digamma", "dirichlet_kl"]
 
@@ -36,7 +36,7 @@ _LANCZOS_COEF = (
 def _require_positive(x: float, name: str) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{name} requires a positive finite argument, got {x!r}")
+        raise ContractError(f"{name} requires a positive finite argument, got {x!r}")
     return x
 
 
@@ -87,10 +87,10 @@ def digamma(x: float) -> float:
 def _validated_concentration(alpha: Sequence[float], name: str) -> list[float]:
     values = [float(a) for a in alpha]
     if len(values) < 2:
-        raise ShapeError(f"{name} needs at least 2 components, got {len(values)}")
+        raise ContractError(f"{name} needs at least 2 components, got {len(values)}")
     for a in values:
         if not math.isfinite(a) or a <= 0.0:
-            raise DomainError(f"{name} components must be positive finite, got {a!r}")
+            raise ContractError(f"{name} components must be positive finite, got {a!r}")
     return values
 
 
@@ -103,7 +103,7 @@ def dirichlet_kl(alpha: Sequence[float], beta: Sequence[float]) -> float:
     a = _validated_concentration(alpha, "alpha")
     b = _validated_concentration(beta, "beta")
     if len(a) != len(b):
-        raise ShapeError(
+        raise ContractError(
             f"concentration vectors differ in length: {len(a)} vs {len(b)}"
         )
     sum_a = math.fsum(a)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import UNIFORM_ACTION, BudgetEnv, clip_to_simplex, validate_action
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError
 from .neural_core import (
     LINEAR,
     SIMPLEX,
@@ -220,10 +220,12 @@ def critic_update(
     pred, cache = _forward_cached(critics, spec, x)
     err = pred - y
     losses = (err * err).mean(axis=(-2, -1))
-    if not np.all(np.isfinite(losses)):
-        raise NumericError("critic loss diverged to a non-finite value")
     grad, _ = _backward(spec, cache, 2.0 * err / n)
-    return critics - learning_rate * grad, float(losses.mean())
+    # A non-finite loss or gradient always leaves non-finite parameters.
+    critics = critics - learning_rate * grad
+    if not np.all(np.isfinite(critics)):
+        raise NumericError("critic step left non-finite parameters")
+    return critics, float(losses.mean())
 
 
 def actor_update(
@@ -247,9 +249,10 @@ def actor_update(
     _, input_grad = _backward(critic, critic_cache, np.full((n, 1), 1.0 / n))
     action_grad = input_grad[:, states.shape[1]:]
     actor_grad, _ = _backward(actor, actor_cache, action_grad)
-    if not np.all(np.isfinite(actor_grad)):
-        raise NumericError("actor gradient is non-finite")
-    return actor_params + learning_rate * actor_grad
+    actor_params = actor_params + learning_rate * actor_grad
+    if not np.all(np.isfinite(actor_params)):
+        raise NumericError("actor step left non-finite parameters")
+    return actor_params
 
 
 def soft_update(target_params: np.ndarray, online_params: np.ndarray, tau: float) -> np.ndarray:
@@ -257,7 +260,7 @@ def soft_update(target_params: np.ndarray, online_params: np.ndarray, tau: float
     target_params = np.asarray(target_params, dtype=np.float64)
     online_params = np.asarray(online_params, dtype=np.float64)
     if target_params.shape != online_params.shape:
-        raise ShapeError("target and online parameter layouts differ")
+        raise ContractError("target and online parameter layouts differ")
     return (1.0 - tau) * target_params + tau * online_params
 
 
@@ -267,8 +270,10 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
 
     A NumericError raised in an update, or in the exploration action
     after it, is re-raised naming the update's index (counted from 1)
-    and the network, critic or actor, that failed. So is a non-finite
-    parameter after the last update, which no later check would see.
+    and the network, critic or actor, that failed. Each update checks
+    the parameters it returns, so a divergence is charged to the update
+    that caused it; a non-finite target after the last update is
+    reported the same way.
     numpy's overflow and invalid-value warnings are off: these checks
     report the failure instead.
     """

@@ -182,7 +182,7 @@ def test_criterion_5_ga_guarantees():
     env = BudgetEnv(train_part, scaler)
 
     base = train(env, TD3Config(total_timesteps=1_500))
-    base_fitness = evaluate_fitness(base.params, base.spec, env)
+    base_fitness = evaluate_fitness(base.params[None], base.spec, env)[0]
     cfg = GaConfig(
         generations=10, population_size=5, elite_fraction=0.4, mutation_rate=0.1,
         seed=3,
@@ -192,7 +192,7 @@ def test_criterion_5_ga_guarantees():
     bests = [g.best for g in logs]
     assert len(bests) == 10
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:])), bests
-    final_fitness = evaluate_fitness(best.params, best.spec, env)
+    final_fitness = evaluate_fitness(best.params[None], best.spec, env)[0]
     assert final_fitness >= base_fitness
     assert bests[-1] >= base_fitness
     _report(5, f"best fitness {bests[0]:.4f} -> {bests[-1]:.4f}, base {base_fitness:.4f}")

@@ -114,11 +114,13 @@ def test_traced_child_run_counts(tmp_path):
     assert counts["data_ingest.load_series.calls"] == 1
     assert counts["environment.build.calls"] == 2
     # Training, the GA and held-out evaluation all score from the env
-    # tables, so nothing steps the env: only the summary's pre- and
-    # post-refinement fitness call evaluate_fitness, and only training
+    # tables, so nothing steps the env. evaluate_fitness scores a stack
+    # of genomes: once per generation in evolve (the first population
+    # whole, then every row but the carried best), plus one two-row call
+    # for the summary's pre- and post-refinement fitness. Only training
     # calls forward_actor, once per step past warmup for its exploration
     # action.
-    assert counts["quantum_ga.evaluate_fitness.calls"] == 2
+    assert counts["quantum_ga.evaluate_fitness.calls"] == TINY_CONFIG["ga"]["generations"] + 1
     td3 = TINY_CONFIG["td3"]
     assert counts["environment.step.calls"] == 0
     assert counts["neural_core.forward_actor.calls"] == (

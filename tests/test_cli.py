@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fiscalforge
-from fiscalforge import cli
+from fiscalforge import cli, errors
 from fiscalforge.cli import load_run_config, main
 from fiscalforge.errors import ConfigError
 from fiscalforge.quantum_ga import PERTURBATION_BINS
@@ -192,6 +192,33 @@ class TestRunConfig:
         assert "Traceback" not in err
 
 
+# main's documented exit code for each error class. ContractError is a
+# caller's bug and the only class without one.
+_EXIT_CODES = {"ConfigError": 1, "DataError": 2, "ArtifactError": 3, "NumericError": 4}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.FiscalForgeError)
+     and c is not errors.FiscalForgeError],
+    ids=lambda c: c.__name__,
+)
+def test_every_error_class_has_an_exit_code(tmp_path, capsys, monkeypatch, error):
+    """A new error class with no exit code in main fails here."""
+    def failing(cfg):
+        raise error("stage failed")
+
+    monkeypatch.setitem(cli._COMMANDS, "train", failing)
+    argv = ["train", "--config", str(_write_config(tmp_path))]
+    if error is errors.ContractError:
+        with pytest.raises(errors.ContractError):
+            main(argv)
+        return
+    assert main(argv) == _EXIT_CODES[error.__name__]
+    assert capsys.readouterr().err.endswith(": stage failed\n")
+
+
 class TestTrainCommand:
     def test_smoke_writes_artifacts(self, tmp_path):
         config = _write_config(tmp_path)
@@ -241,13 +268,18 @@ class TestTrainCommand:
             # Exactly one update, which leaves the critics non-finite.
             ("train", {"td3": {"learning_rate": 1e308, "total_timesteps": 101,
                                "warmup_steps": 100, "batch_size": 16}},
-             "update 1, critic: parameters are non-finite"),
-            ("train", {"td3": {"learning_rate": 1e300}}, "update 2, critic: critic loss"),
+             "update 1, critic: critic step left non-finite parameters"),
+            # Two updates: the failure is charged to the first, which diverged.
+            ("train", {"td3": {"learning_rate": 1e308, "total_timesteps": 102,
+                               "warmup_steps": 100, "batch_size": 16}},
+             "update 1, critic: critic step left non-finite parameters"),
+            ("train", {"td3": {"learning_rate": 1e300}},
+             "update 2, critic: critic step left non-finite parameters"),
             # The largest strength numpy can bin overflows the mutated actors.
             ("pipeline", {"ga": {"mutation_strength": 8.988465674311579e307}},
              "non-finite allocation"),
         ],
-        ids=["last-update", "critic-loss", "mutated-actor"],
+        ids=["last-update", "diverged-update", "critic-loss", "mutated-actor"],
     )
     def test_numeric_failure_prints_one_line(self, tmp_path, command, overrides, message):
         """Exit 4 with the failure's message as the only stderr line (no numpy

@@ -17,12 +17,7 @@ from fiscalforge.environment import (
     validate_action,
     write_trace,
 )
-from fiscalforge.errors import (
-    ContractError,
-    DataError,
-    DomainError,
-    SequenceError,
-)
+from fiscalforge.errors import ContractError, DataError
 from fiscalforge.special_functions import dirichlet_kl
 
 from conftest import DATA_DIR, make_series, oracle_tables
@@ -165,12 +160,12 @@ class TestReset:
     )
     @pytest.mark.filterwarnings("error")
     def test_non_finite_belief_rejected_at_construction(self, belief):
-        """Only DomainError: an overflowing belief table raises no RuntimeWarning."""
-        with pytest.raises(DomainError):
+        """Only ContractError: an overflowing belief table raises no RuntimeWarning."""
+        with pytest.raises(ContractError):
             _env(BASIC_ROWS, belief=belief)
 
     def test_prior_needs_exactly_two_categories(self):
-        with pytest.raises(DomainError, match="exactly two"):
+        with pytest.raises(ContractError, match="exactly two"):
             BeliefConfig(prior=(5.0, 3.0, 2.0))
 
     def test_degenerate_first_quarter_accepted(self):
@@ -217,12 +212,12 @@ class TestStep:
         env = _env(BASIC_ROWS[:2])
         env.reset()
         env.step(np.array([0.5, 0.5]))
-        with pytest.raises(SequenceError):
+        with pytest.raises(ContractError):
             env.step(np.array([0.5, 0.5]))
 
     def test_step_before_reset(self):
         env = _env(BASIC_ROWS)
-        with pytest.raises(SequenceError):
+        with pytest.raises(ContractError):
             env.step(np.array([0.5, 0.5]))
 
     def test_off_simplex_action_rejected(self):

@@ -8,7 +8,7 @@ import pytest
 
 from fiscalforge.data_ingest import fit_scaler
 from fiscalforge.environment import BudgetEnv, write_trace
-from fiscalforge.errors import DataError, DomainError
+from fiscalforge.errors import ContractError, DataError
 from fiscalforge.evaluation import (
     cosine_similarity,
     evaluate_policy,
@@ -96,7 +96,7 @@ class TestCosineSimilarity:
             assert 0.0 < value <= 1.0 + 1e-12
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             cosine_similarity(*_arrays(([0.0, 0.0], [0.5, 0.5])))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiscalforge.errors import ArtifactError, ContractError, NumericError, ShapeError
+from fiscalforge.errors import ArtifactError, ContractError, NumericError
 from fiscalforge.neural_core import (
     ActorPolicy,
     MlpSpec,
@@ -181,9 +181,9 @@ class TestBackward:
     def test_shape_mismatch(self):
         spec = MlpSpec(3, (4,), 2, "simplex")
         params = np.zeros(spec.param_count())
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             vjp_batch(params, spec, np.zeros((1, 3)), np.zeros((1, 3)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             vjp_batch(params, spec, np.zeros((1, 4)), np.zeros((1, 2)))
 
 
@@ -207,7 +207,7 @@ class TestFlatten:
 
     def test_wrong_length_rejected(self):
         spec = MlpSpec(3, (5,), 2, "linear")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             unflatten(np.zeros(spec.param_count() + 1), spec)
 
 
@@ -294,7 +294,7 @@ class TestActorPolicy:
 def test_one_network_entry_points_reject_a_stack(call, k, tmp_path):
     spec = MlpSpec(3, (4,), 2, "simplex")
     stack = np.stack([init_params(spec, seed) for seed in range(k)])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         call(spec, stack, tmp_path)
 
 

@@ -11,7 +11,7 @@ from scipy.stats import skew
 
 from fiscalforge.data_ingest import fit_scaler
 from fiscalforge.environment import BudgetEnv
-from fiscalforge.errors import ContractError, ShapeError
+from fiscalforge.errors import ContractError
 from fiscalforge.neural_core import ActorPolicy, MlpSpec, init_params
 from fiscalforge.quantum_ga import (
     GaConfig,
@@ -82,16 +82,33 @@ class TestEvaluateFitness:
     def test_deterministic(self):
         env = _ga_env()
         genome = init_params(ACTOR_SPEC, 4)
-        f1 = evaluate_fitness(genome, ACTOR_SPEC, env)
-        f2 = evaluate_fitness(genome, ACTOR_SPEC, env)
+        f1 = evaluate_fitness(genome[None], ACTOR_SPEC, env)[0]
+        f2 = evaluate_fitness(genome[None], ACTOR_SPEC, env)[0]
         assert f1 == f2
+
+    @settings(max_examples=25, deadline=None)
+    @given(population_size=st.integers(1, 7), hidden=st.sampled_from([(4,), (64, 64)]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(population_size=1, hidden=(4,), seed=0)
+    def test_row_view_scores_bit_for_bit(self, population_size, hidden, seed):
+        """evolve scores the view population[1:]: it equals the whole stack's rows
+        and each row's one-row call, bit for bit; at population_size 1 it is empty."""
+        spec = MlpSpec(3, hidden, 2, "simplex")
+        env = _ga_env()
+        config = GaConfig(population_size=population_size, init_sigma=0.5, seed=seed)
+        pop = _population(init_params(spec, 4), config)
+        view = evaluate_fitness(pop[1:], spec, env)
+        assert view.shape == (population_size - 1,)
+        assert view.tobytes() == evaluate_fitness(pop, spec, env)[1:].tobytes()
+        singles = [evaluate_fitness(genome[None], spec, env).tobytes() for genome in pop[1:]]
+        assert singles == [score.tobytes() for score in view]
 
     def test_never_positive(self):
         env = _ga_env()
         rng = np.random.default_rng(5)
         for _ in range(10):
             genome = rng.normal(0, 1.0, size=ACTOR_SPEC.param_count())
-            assert evaluate_fitness(genome, ACTOR_SPEC, env) <= 0.0
+            assert evaluate_fitness(genome[None], ACTOR_SPEC, env)[0] <= 0.0
 
     def test_uniform_policy_matches_independent_arithmetic(self):
         """Zero parameters force [0.5, 0.5]; reward recomputed from raw data."""
@@ -99,7 +116,7 @@ class TestEvaluateFitness:
         series = make_series(rows)
         env = BudgetEnv(series, fit_scaler(series))
         genome = np.zeros(ACTOR_SPEC.param_count())
-        got = evaluate_fitness(genome, ACTOR_SPEC, env)
+        got = evaluate_fitness(genome[None], ACTOR_SPEC, env)[0]
 
         def kl(a, b):
             a, b = np.asarray(a, float), np.asarray(b, float)
@@ -169,7 +186,7 @@ class TestUniformCrossover:
             assert counts[key] / trials == pytest.approx(0.25, abs=0.01)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             uniform_crossover(np.zeros(3), np.zeros(4), np.random.default_rng(0))
 
 
@@ -319,10 +336,10 @@ class TestEvolve:
     def test_final_best_at_least_base_fitness(self):
         base = self._base_policy()
         env = _ga_env()
-        base_fitness = evaluate_fitness(base.params, base.spec, env)
+        base_fitness = evaluate_fitness(base.params[None], base.spec, env)[0]
         best, logs = evolve(base, env, GaConfig(generations=5, seed=2))
         assert logs[-1].best >= base_fitness
-        assert evaluate_fitness(best.params, best.spec, env) >= base_fitness
+        assert evaluate_fitness(best.params[None], best.spec, env)[0] >= base_fitness
 
     def test_population_size_constant(self):
         _, logs = evolve(self._base_policy(), _ga_env(),

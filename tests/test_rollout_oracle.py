@@ -44,7 +44,6 @@ from fiscalforge.quantum_ga import (
     PERTURBATION_BINS,
     GaConfig,
     evaluate_fitness,
-    evaluate_population,
     evolve,
     perturbation_edges,
 )
@@ -111,7 +110,7 @@ def test_rollout_matches_step_oracle(
     expected_total, expected_lines = _oracle_episode(genome, spec, series, reward, belief)
 
     env = BudgetEnv(series, SCALER, reward, belief)
-    assert evaluate_fitness(genome, spec, env) == expected_total
+    assert evaluate_fitness(genome[None], spec, env)[0] == expected_total
 
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     _, actions, rewards = evaluate_policy(ActorPolicy(spec, genome), env)
@@ -142,7 +141,7 @@ SATURATING_SCALE = 1000.0
          hidden=ACTOR_SPEC.hidden_dims, seed=11, scale=SATURATING_SCALE, lambdas=(0.1, 0.01),
          prior=(5.0, 3.0), confidence=1.0)
 def test_population_matches_step_oracle(rows, n, hidden, seed, scale, lambdas, prior, confidence):
-    """Every row of one evaluate_population call equals its own step-loop episode."""
+    """Every row of one evaluate_fitness call equals its own step-loop episode."""
     series = make_series(rows)
     spec = MlpSpec(3, hidden, 2, "simplex")
     rng = np.random.default_rng(seed)
@@ -151,7 +150,7 @@ def test_population_matches_step_oracle(rows, n, hidden, seed, scale, lambdas, p
     reward, belief = RewardConfig(*lambdas), BeliefConfig(prior, confidence)
     env = BudgetEnv(series, SCALER, reward, belief)
 
-    totals = evaluate_population(genomes, spec, env)
+    totals = evaluate_fitness(genomes, spec, env)
     assert totals.shape == (n,)
     for genome, total in zip(genomes, totals):
         expected, _ = _oracle_episode(genome, spec, series, reward, belief)
