@@ -16,7 +16,8 @@ Each stage command also returns its result (trained policy, refined
 policy, metrics report), which the pipeline uses instead of re-reading.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error,
-3 artifact error, 4 numeric failure.
+3 artifact error or an output that cannot be written, 4 numeric
+failure. Each error class declares its own (fiscalforge.errors).
 """
 
 import argparse
@@ -34,14 +35,7 @@ from . import __version__
 from .atomic import write_csv, write_json, write_jsonl
 from .data_ingest import FinancialSeries, chrono_split, fit_scaler, load_series
 from .environment import BeliefConfig, BudgetEnv, RewardConfig, write_trace
-from .errors import (
-    ArtifactError,
-    ConfigError,
-    ContractError,
-    DataError,
-    FiscalForgeError,
-    NumericError,
-)
+from .errors import ArtifactError, ConfigError, ContractError, FiscalForgeError
 from .evaluation import MetricsReport, evaluate_policy
 from .neural_core import (
     SIMPLEX,
@@ -359,25 +353,20 @@ def _setup_logging() -> None:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     try:
-        args = build_parser().parse_args(argv)
-        cfg = load_run_config(args.config, out_override=args.out, seed_override=args.seed)
-        _COMMANDS[args.command](cfg)
-        return 0
-    except ConfigError as exc:
-        print(f"fiscalforge: usage error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # the config's sizes do not fit in memory
-        print(f"fiscalforge: usage error: out of memory: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"fiscalforge: data error: {exc}", file=sys.stderr)
-        return 2
-    except ArtifactError as exc:
-        print(f"fiscalforge: artifact error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"fiscalforge: numeric failure: {exc}", file=sys.stderr)
-        return 4
+        try:
+            args = build_parser().parse_args(argv)
+            cfg = load_run_config(args.config, out_override=args.out, seed_override=args.seed)
+            _COMMANDS[args.command](cfg)
+        except MemoryError as exc:  # the config's sizes do not fit in memory
+            raise ConfigError(f"out of memory: {exc}") from exc
+        except OSError as exc:  # every input read maps its own, so this is a write to <out>
+            raise ArtifactError(f"cannot write output: {exc}") from exc
+    except FiscalForgeError as exc:
+        if exc.exit_code is None:  # a caller's bug, not a failure of the run
+            raise
+        print(f"fiscalforge: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return 0
 
 
 def entrypoint() -> None:

@@ -151,8 +151,8 @@ def chrono_split(
     if not 0.0 < train_fraction < 1.0:
         raise DataError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     n = len(series)
-    if n < 4:
-        raise DataError(f"series too short to split: {n} < 4")
+    if n < MIN_ROWS:
+        raise DataError(f"series too short to split: {n} < {MIN_ROWS}")
     n_train = math.floor(train_fraction * n)
     if n_train == 0:
         raise DataError(f"train_fraction {train_fraction} leaves an empty train split")

@@ -29,12 +29,12 @@ against the tables at one step or a slice of steps. An episode is
 open-loop (state t is the scaled quarter t, whatever the actions), so
 no caller needs a step loop: training scores each block of steps (a
 warmup segment or one actor step) with one rewards() call over its
-slice, episode_rewards scores a stack of whole action sequences (GA
-fitness, evaluation and trace.jsonl), and reset()/step() remain as
-the one-action-at-a-time reference that test oracles walk. All of
-them give the same terms bit for bit. Each action sequence is
-validated exactly once: validate_action renormalizes, so a second
-pass could move the last ulp.
+slice, and episode_rewards scores a stack of whole action sequences
+(GA fitness, evaluation and trace.jsonl). reset()/step() take one
+action at a time; no production code calls them. All of them give
+the same terms bit for bit. Each action sequence is validated exactly
+once: validate_action renormalizes, so a second pass could move the
+last ulp.
 
 State vectors are float64 arrays laid out [rnd, sga, net_income] in
 scaled units; actions and empirical allocations are length-2 simplex
@@ -242,14 +242,6 @@ class BudgetEnv:
         smoothness = -self.reward_config.lambda1 * norms
         belief = self._belief_terms[t]
         return RewardBreakdown(accuracy, smoothness, belief, accuracy + smoothness + belief)
-
-    def episode_totals(self, actions: np.ndarray) -> np.ndarray:
-        """Each sequence's episode_rewards totals, summed in step order from 0.0."""
-        steps = self.episode_rewards(actions)[1].total
-        totals = np.zeros(steps.shape[:-1])
-        for t in range(steps.shape[-1]):
-            totals += steps[..., t]
-        return totals
 
 
 def write_trace(

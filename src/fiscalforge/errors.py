@@ -1,22 +1,29 @@
 """Exception taxonomy shared by every module.
 
-The CLI maps every class but ContractError onto a process exit code, so
-raising the right class matters: ConfigError -> 1, DataError -> 2,
-ArtifactError -> 3 and NumericError -> 4. A ContractError is a caller's
-bug and has no exit code.
+Each class that has a process exit code declares it, with the label the
+CLI prints before the message on stderr: ConfigError -> 1 (usage
+error), DataError -> 2 (data error), ArtifactError -> 3 (artifact
+error) and NumericError -> 4 (numeric failure). A ContractError is a
+caller's bug and has no exit code, so raising the right class matters.
 """
 
 
 class FiscalForgeError(Exception):
     """Base class for all package-raised errors."""
 
+    exit_code = label = None
+
 
 class ConfigError(FiscalForgeError):
     """Malformed CLI usage or run-config file (unknown keys, bad types)."""
 
+    exit_code, label = 1, "usage error"
+
 
 class DataError(FiscalForgeError):
     """Unusable input data: missing file, malformed CSV, degenerate column."""
+
+    exit_code, label = 2, "data error"
 
 
 class ContractError(FiscalForgeError, ValueError):
@@ -26,6 +33,10 @@ class ContractError(FiscalForgeError, ValueError):
 class NumericError(FiscalForgeError, ArithmeticError):
     """Non-finite value produced where a finite one is required."""
 
+    exit_code, label = 4, "numeric failure"
+
 
 class ArtifactError(FiscalForgeError):
-    """Checkpoint or other stored artifact is corrupt or incompatible."""
+    """A stored artifact is corrupt or incompatible, or an output cannot be written."""
+
+    exit_code, label = 3, "artifact error"

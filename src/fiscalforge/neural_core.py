@@ -17,13 +17,14 @@ to separate passes. Its cache keeps each layer's weight view, input and
 output, so a gradient never repeats the forward pass: ``_backward``
 runs from that cache and writes the flat (..., P) parameter gradient
 into one preallocated array, and ``vjp_batch`` is just the two
-composed. A single input is a batch of one; the only per-row entry
-point is ``forward_actor``, training's exploration action.
+composed. A single input is a batch of one.
 
 ``forward_population``, the greedy action of many actors on many states
 (GA fitness and ``ActorPolicy.act``), passes each state as a batch of
-one, so action [i, t] equals ``forward_actor(genomes[i], spec,
-states[t])`` bit for bit.
+one, so action [i, t] equals a one-row ``forward_batch(genomes[i],
+spec, states[t][None])`` bit for bit wherever that row is finite.
+``forward_actor``, training's exploration action, is its one-genome,
+one-state call.
 """
 
 import struct
@@ -194,23 +195,17 @@ def forward_batch(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarra
 
 
 def forward_actor(params: np.ndarray, spec: MlpSpec, state: np.ndarray) -> np.ndarray:
-    """Simplex-head forward pass for one state; output sums to 1."""
-    if spec.output_head != SIMPLEX:
-        raise ContractError("forward_actor requires a simplex output head")
-    y = forward_batch(_as_vector(spec, params), spec,
-                      np.asarray(state, dtype=np.float64)[None, :])[0]
-    if not np.all(np.isfinite(y)):
-        raise NumericError("actor produced a non-finite allocation")
-    return y
+    """Greedy allocation of one actor on one state: a one-genome, one-state forward_population."""
+    return forward_population(np.asarray(params)[None], spec, np.asarray(state)[None])[0, 0]
 
 
 def forward_population(genomes: np.ndarray, spec: MlpSpec, states: np.ndarray) -> np.ndarray:
     """Simplex-head forward pass of every genome row on every state: (N, T, output_dim).
 
     The (N, 1, P) genome stack meets the states as (T, 1, input_dim)
-    batches of one row, so every row is the (1, d) @ (d, k) BLAS call of
-    forward_actor, and action [i, t] equals forward_actor(genomes[i],
-    spec, states[t]) bit for bit.
+    batches of one row, so every row makes the (1, d) @ (d, k) BLAS call
+    of a one-row forward_batch, and action [i, t] equals a one-genome,
+    one-state call bit for bit.
     """
     if spec.output_head != SIMPLEX:
         raise ContractError("forward_population requires a simplex output head")

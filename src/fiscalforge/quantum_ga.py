@@ -21,9 +21,10 @@ vector beside it. Fitness is the cumulative reward of one greedy episode
 with the genome's noise-free actor; the episode is deterministic, so one
 suffices. It is also open-loop, since the state of step t is quarter t
 whatever the actions, so evaluate_fitness scores a whole stack of rows
-at once: one forward_population call gives all their actions and
-BudgetEnv.episode_totals all their totals, each bit-identical to the sum
-of step()'s rewards for the same actions and to a one-row call.
+at once: one forward_population call gives all their actions and one
+BudgetEnv.episode_rewards call all their rewards, and each total, summed
+in step order, is bit-identical to the sum of step()'s rewards for the
+same actions and to a one-row call.
 
 The best individual ever seen is carried forward unmodified each
 generation as row 0, so the best fitness can never regress below the
@@ -117,9 +118,14 @@ def evaluate_fitness(genomes: np.ndarray, spec: MlpSpec, env: BudgetEnv) -> np.n
 
     A greedy episode is open-loop: the state of step t is quarter t
     whatever the actions, so every action of every genome comes from one
-    forward_population call and every total from env.episode_totals.
+    forward_population call and every reward from one
+    env.episode_rewards call. Each total is summed in step order from 0.0.
     """
-    return env.episode_totals(forward_population(genomes, spec, env.states[:-1]))
+    steps = env.episode_rewards(forward_population(genomes, spec, env.states[:-1]))[1].total
+    totals = np.zeros(len(steps))
+    for t in range(steps.shape[-1]):
+        totals += steps[:, t]
+    return totals
 
 
 def select_elites(fitness: np.ndarray, elite_fraction: float) -> np.ndarray:
@@ -162,8 +168,6 @@ def quantum_mutate(
     """
     genome = np.asarray(genome, dtype=np.float64).copy()
     selected = np.flatnonzero(rng.random(genome.shape) < config.mutation_rate)
-    if selected.size == 0:
-        return genome, np.empty(0)
     dtheta = rng.normal(0.0, config.rotation_sigma, size=selected.size)
     deltas = config.mutation_strength * np.sin(dtheta)
     genome.reshape(-1)[selected] += deltas  # a view: the copy is C-contiguous

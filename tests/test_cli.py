@@ -68,14 +68,14 @@ def _write_config(tmp_path, overrides=None, out_name="out"):
     return path
 
 
-def _run_process(command, config, env_extra=None):
-    """`python -m fiscalforge.cli COMMAND --config CONFIG` in a fresh process, with
-    Python's default warning filters and log level."""
+def _run_process(command, config, env_extra=None, args=()):
+    """`python -m fiscalforge.cli COMMAND --config CONFIG [ARGS]` in a fresh process,
+    with Python's default warning filters and log level."""
     env = {k: v for k, v in os.environ.items() if k not in ("FISCALFORGE_LOG", "PYTHONWARNINGS")}
     env["PYTHONPATH"] = str(Path(fiscalforge.__file__).resolve().parents[1])
     env.update(env_extra or {})
     return subprocess.run(
-        [sys.executable, "-m", "fiscalforge.cli", command, "--config", str(config)],
+        [sys.executable, "-m", "fiscalforge.cli", command, "--config", str(config), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
 
@@ -192,9 +192,11 @@ class TestRunConfig:
         assert "Traceback" not in err
 
 
-# main's documented exit code for each error class. ContractError is a
-# caller's bug and the only class without one.
+# main's documented exit code and stderr label for each error class.
+# ContractError is a caller's bug and the only class without them.
 _EXIT_CODES = {"ConfigError": 1, "DataError": 2, "ArtifactError": 3, "NumericError": 4}
+_LABELS = {"ConfigError": "usage error", "DataError": "data error",
+           "ArtifactError": "artifact error", "NumericError": "numeric failure"}
 
 
 @pytest.mark.parametrize(
@@ -216,7 +218,24 @@ def test_every_error_class_has_an_exit_code(tmp_path, capsys, monkeypatch, error
             main(argv)
         return
     assert main(argv) == _EXIT_CODES[error.__name__]
-    assert capsys.readouterr().err.endswith(": stage failed\n")
+    assert capsys.readouterr().err == f"fiscalforge: {_LABELS[error.__name__]}: stage failed\n"
+
+
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_unwritable_out_exits_3(tmp_path, command):
+    """An --out below a regular file ends in one artifact-error line, not a traceback.
+
+    Through the module entry point, in a fresh process. (refine and
+    evaluate read their checkpoint from <out> first, and exit 3 on it.)
+    """
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = _write_config(tmp_path, {"td3": {"total_timesteps": 10, "warmup_steps": 5}})
+    done = _run_process(command, config, args=("--out", str(blocker / "sub")))
+    assert done.returncode == 3, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("fiscalforge: artifact error: "), line
+    assert "Not a directory" in line and "Traceback" not in done.stderr, line
 
 
 class TestTrainCommand:
@@ -605,10 +624,11 @@ def _bytes_or_none(path):
     return path.read_bytes() if path.exists() else None
 
 
-def test_failed_write_leaves_every_artifact_whole(tmp_path, monkeypatch):
-    """A rerun whose n-th artifact write fails part-way, for every n: the
-    failed file is as it was when the write began, every file holds the
-    old or the new run's whole bytes, and no temporary file is left."""
+def test_failed_write_leaves_every_artifact_whole(tmp_path, monkeypatch, capsys):
+    """A rerun whose n-th artifact write fails part-way, for every n: main
+    exits 3 with one artifact-error line, the failed file is as it was
+    when the write began, every file holds the old or the new run's whole
+    bytes, and no temporary file is left."""
     from fiscalforge import atomic
 
     config = _write_config(tmp_path, {"td3": {"total_timesteps": 150},
@@ -637,8 +657,11 @@ def test_failed_write_leaves_every_artifact_whole(tmp_path, monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(atomic, "open", torn_open, raising=False)
-            with pytest.raises(OSError, match="injected"):
-                main(["pipeline", "--config", str(config), "--seed", "8", "--out", str(out)])
+            assert main(["pipeline", "--config", str(config), "--seed", "8",
+                         "--out", str(out)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("fiscalforge: artifact error: cannot write output: "), line
+        assert "injected" in line, line
         assert len(opened) == fail_at
         names = {p.name for p in out.iterdir()}
         assert names <= set(runs[7]), names - set(runs[7])

@@ -270,6 +270,33 @@ class TestCheckpoint:
         assert doc["params"] == params.tolist()
 
 
+class TestForwardActorProperty:
+    """forward_actor is forward_population's one-row call; a one-row forward_batch,
+    the per-row pass it replaced, is the independent reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hidden=st.one_of(st.lists(st.integers(1, 64), min_size=1, max_size=3).map(tuple),
+                         st.just((64, 64))),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.one_of(st.floats(1e-3, 30.0), st.sampled_from([1e150, 1e300])),
+        state=st.lists(st.one_of(st.floats(-10.0, 10.0),
+                                 st.sampled_from([0.0, 1e300, np.inf, np.nan])),
+                       min_size=3, max_size=3),
+    )
+    def test_bit_identical_to_a_one_row_forward_batch(self, hidden, seed, scale, state):
+        spec = MlpSpec(3, hidden, 2, "simplex")
+        params = scale * np.random.default_rng(seed).normal(size=spec.param_count())
+        state = np.array(state)
+        with np.errstate(all="ignore"):
+            expected = forward_batch(params, spec, state[None])[0]
+        if np.all(np.isfinite(expected)):
+            assert forward_actor(params, spec, state).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(NumericError):
+                forward_actor(params, spec, state)
+
+
 class TestActorPolicy:
     def test_act_matches_forward(self):
         spec = MlpSpec(3, (4,), 2, "simplex")
@@ -277,7 +304,7 @@ class TestActorPolicy:
         states = np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.9], [0.5, 0.5, -0.2]])
         np.testing.assert_array_equal(
             ActorPolicy(spec, params).act(states),
-            [forward_actor(params, spec, state) for state in states],
+            [forward_batch(params, spec, state[None])[0] for state in states],
         )
 
 

@@ -109,12 +109,6 @@ def test_evaluate_artifacts_match_pin(tmp_path):
     _assert_close(_evaluate(tmp_path), _pin()["evaluate"], "evaluate")
 
 
-def test_checkpoint_is_an_allocation_actor():
-    spec, genome = load_checkpoint(CHECKPOINT)
-    assert (spec.input_dim, spec.output_dim, spec.output_head) == (3, 2, "simplex")
-    assert np.all(np.isfinite(genome))
-
-
 if __name__ == "__main__":
     if sys.argv[1:]:
         sys.exit(f"usage: {sys.argv[0]}")

@@ -1,11 +1,11 @@
 """The greedy-episode path against an independent step-by-step oracle.
 
 GA fitness and held-out evaluation score whole episodes at once
-(forward_population, then BudgetEnv.episode_rewards or episode_totals).
-The oracle below recomputes each episode per quarter from conftest's
-plain-Python tables (scaled states, empirical shares, sequential belief
-update, Dirichlet penalty) in the step loop's reward order and
-trace-record layout. Fitness must match
+(forward_population, then BudgetEnv.episode_rewards). The oracle below
+recomputes each episode per quarter from conftest's plain-Python tables
+(scaled states, empirical shares, sequential belief update, Dirichlet
+penalty), with each action from its own one-row forward_batch call, in
+the step loop's reward order and trace-record layout. Fitness must match
 bit for bit and trace.jsonl line for line, and evolve must match the
 per-individual loop it replaced, which keeps its raw mutation offsets
 and bins them in plain Python, and breeds with conftest's reference
@@ -36,7 +36,7 @@ from fiscalforge.evaluation import evaluate_policy
 from fiscalforge.neural_core import (
     ActorPolicy,
     MlpSpec,
-    forward_actor,
+    forward_batch,
     forward_population,
     init_params,
 )
@@ -61,7 +61,7 @@ def _oracle_episode(genome, spec, series, reward, belief):
     total = 0.0
     lines = []
     for t, (empirical, alpha, belief_term) in enumerate(zip(shares, alphas, belief_terms)):
-        a = validate_action(forward_actor(genome, spec, np.array(states[t])))
+        a = validate_action(forward_batch(genome, spec, np.array(states[t])[None])[0])
         accuracy = -float(np.abs(a - np.array(empirical)).sum())
         smoothness = -reward.lambda1 * float(np.linalg.norm(a - prev))
         step_total = accuracy + smoothness + belief_term

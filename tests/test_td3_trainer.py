@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 
 from fiscalforge import td3_trainer
 from fiscalforge.data_ingest import chrono_split, fit_scaler, load_series
-from fiscalforge.environment import BudgetEnv, clip_to_simplex, validate_action
+from fiscalforge.environment import (
+    BeliefConfig,
+    BudgetEnv,
+    RewardConfig,
+    clip_to_simplex,
+    validate_action,
+)
 from fiscalforge.errors import ContractError, NumericError
 from fiscalforge.neural_core import (
     MlpSpec,
-    forward_actor,
     forward_batch,
     init_params,
     vjp_batch,
@@ -32,7 +37,7 @@ from fiscalforge.td3_trainer import (
     train,
 )
 
-from conftest import FIXTURE_CSV, make_series
+from conftest import FIXTURE_CSV, make_series, oracle_tables
 
 SMALL_CRITIC = MlpSpec(5, (4,), 1, "linear")
 SMALL_ACTOR = MlpSpec(3, (4,), 2, "simplex")
@@ -341,11 +346,14 @@ class TestSoftUpdate:
             soft_update(np.zeros(3), np.zeros(4), 0.5)
 
 
-def _small_env():
+def _small_series():
     rng = np.random.default_rng(13)
-    rows = [(rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(-5, 20))
-            for _ in range(8)]
-    series = make_series(rows)
+    return make_series([(rng.uniform(5, 50), rng.uniform(5, 50), rng.uniform(-5, 20))
+                        for _ in range(8)])
+
+
+def _small_env():
+    series = _small_series()
     return BudgetEnv(series, fit_scaler(series))
 
 
@@ -391,9 +399,13 @@ class TestTrain:
 
 # -- independent oracle: the step-by-step training loop -----------------------
 #
-# A transition-object replay list, np.stack minibatches, vjp_batch for
-# every gradient (each re-running its forward pass) and a scalar
-# target per row. The fused trainer must reproduce it bit for bit.
+# Each step is scored from conftest's plain-Python env tables with the
+# per-step reward formula of test_rollout_oracle, and the next state and
+# episode end come from the table index. A transition-object replay
+# list, np.stack minibatches, a one-row forward_batch for each
+# exploration action, vjp_batch for every gradient (each re-running its
+# forward pass) and a scalar target per row. The fused trainer must
+# reproduce it bit for bit.
 
 
 @dataclass(frozen=True)
@@ -426,7 +438,11 @@ def _oracle_actor_update(actor_params, actor, critic1_params, critic, states, lr
     return actor_params + lr * actor_grad
 
 
-def _oracle_train(env, config):
+def _oracle_train(series, config):
+    """train on a BudgetEnv of series with the default reward and belief configs."""
+    reward = RewardConfig()
+    quarters, shares, _, belief_terms = oracle_tables(series, fit_scaler(series), reward,
+                                                      BeliefConfig())
     a_spec, c_spec = ACTOR_SPEC, CRITIC_SPEC
     actor = init_params(a_spec, config.seed)
     critic1 = init_params(c_spec, config.seed + 1)
@@ -436,27 +452,31 @@ def _oracle_train(env, config):
     items, cursor = [], 0
     episode_rewards, episode_total, n_updates = [], 0.0, 0
 
-    state = env.reset()
+    t, prev = 0, np.array([0.5, 0.5])
     for step in range(1, config.total_timesteps + 1):
+        state = np.array(quarters[t])
         if step <= config.warmup_steps:
             action = rng.dirichlet([1.0, 1.0])
         else:
             noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
-            action = clip_to_simplex(forward_actor(actor, a_spec, state) + noise)
-        result = env.step(action)
-        tr = _Transition(state, result.action, result.reward.total,
-                         result.next_state, result.done)
+            action = clip_to_simplex(forward_batch(actor, a_spec, state[None])[0] + noise)
+        a = validate_action(action)
+        accuracy = -float(np.abs(a - np.array(shares[t])).sum())
+        smoothness = -reward.lambda1 * float(np.linalg.norm(a - prev))
+        total = accuracy + smoothness + belief_terms[t]
+        done = t + 1 == len(shares)
+        tr = _Transition(state, a, total, np.array(quarters[t + 1]), done)
         if len(items) < config.buffer_capacity:
             items.append(tr)
         else:
             items[cursor] = tr
         cursor = (cursor + 1) % config.buffer_capacity
-        episode_total += result.reward.total
-        state = result.next_state
-        if result.done:
+        episode_total += total
+        t, prev = t + 1, a
+        if done:
             episode_rewards.append(episode_total)
             episode_total = 0.0
-            state = env.reset()
+            t, prev = 0, np.array([0.5, 0.5])
         if step <= config.warmup_steps or len(items) < config.batch_size:
             continue
 
@@ -504,7 +524,7 @@ class TestFusedTrainOracle:
         train_part, _ = chrono_split(load_series(FIXTURE_CSV), 0.8)
         scaler = fit_scaler(train_part)
         policy = train(BudgetEnv(train_part, scaler), config)
-        actor, aux, rewards = _oracle_train(BudgetEnv(train_part, scaler), config)
+        actor, aux, rewards = _oracle_train(train_part, config)
 
         np.testing.assert_array_equal(policy.params, actor)
         names = ("critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
@@ -556,7 +576,7 @@ class TestTrainOracleProperty:
                               buffer_capacity=5, batch_size=4, seed=7))
     def test_bit_identical_to_step_by_step_loop(self, config):
         policy = train(_small_env(), config)
-        actor, aux, rewards = _oracle_train(_small_env(), config)
+        actor, aux, rewards = _oracle_train(_small_series(), config)
         np.testing.assert_array_equal(policy.params, actor)
         names = ("critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
         for name, expected in zip(names, aux):
