@@ -56,9 +56,9 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 ACTOR_CKPT = "actor.ckpt"
 REFINED_CKPT = "refined_actor.ckpt"
 
-# What each stage's outputs make stale. A stage removes them before it
-# writes, so that no later stage reads, or leaves beside the new outputs,
-# an artifact of an older run.
+# What each stage's outputs make stale. A stage removes them, and its own
+# old outputs, before its first write, so that no later stage reads, and
+# no failed write leaves beside the new outputs, an artifact of an older run.
 _EVALUATE_OUTPUTS = ("metrics.json", "pairs.csv", "trace.jsonl", "summary.json")
 _REFINE_OUTPUTS = (REFINED_CKPT, "generations.jsonl", "perturbations.csv")
 
@@ -216,7 +216,8 @@ def cmd_train(cfg: RunConfig) -> TrainedPolicy:
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    _remove(out, _REFINE_OUTPUTS + _EVALUATE_OUTPUTS)
+    own = [ACTOR_CKPT, "actor.json", "history.jsonl", *(f"{n}.ckpt" for n in policy.aux_params)]
+    _remove(out, [*own, *_REFINE_OUTPUTS, *_EVALUATE_OUTPUTS])
     save_checkpoint(out / ACTOR_CKPT, policy.spec, policy.params)
     export_json(out / "actor.json", policy.spec, policy.params)
     for name, (spec, params) in policy.aux_params.items():
@@ -238,7 +239,7 @@ def cmd_refine(cfg: RunConfig) -> ActorPolicy:
     refined, logs = evolve(base, env, cfg.ga)
 
     out = cfg.output_dir
-    _remove(out, _EVALUATE_OUTPUTS)
+    _remove(out, _REFINE_OUTPUTS + _EVALUATE_OUTPUTS)
     save_checkpoint(out / REFINED_CKPT, refined.spec, refined.params)
     # Each generation's record is its log; the histogram goes to perturbations.csv.
     write_jsonl(out / "generations.jsonl",

@@ -122,15 +122,15 @@ def validate_action(action: np.ndarray) -> np.ndarray:
     a = np.asarray(action, dtype=np.float64)
     if a.ndim < 1 or a.shape[-1] != 2:
         raise ContractError(f"action rows must have 2 components, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ContractError("action contains non-finite components")
-    off = (np.any(a < -ACTION_TOLERANCE, axis=-1)
-           | (np.abs(a.sum(axis=-1) - 1.0) > ACTION_TOLERANCE))
-    if np.any(off):
+    off = ((np.minimum.reduce(a, axis=-1) < -ACTION_TOLERANCE)
+           | (np.abs(np.add.reduce(a, axis=-1) - 1.0) > ACTION_TOLERANCE))
+    if off.any():
         row = a.reshape(-1, 2)[np.flatnonzero(off)[0]]
         raise ContractError(f"action {row.tolist()} is off the simplex beyond {ACTION_TOLERANCE}")
-    a = np.clip(a, 0.0, None)
-    return a / a.sum(axis=-1, keepdims=True)
+    a = np.maximum(a, 0.0)  # np.clip(a, 0.0, None) is this very ufunc call
+    return a / np.add.reduce(a, axis=-1, keepdims=True)
 
 
 def clip_to_simplex(vec: np.ndarray) -> np.ndarray:
@@ -139,8 +139,8 @@ def clip_to_simplex(vec: np.ndarray) -> np.ndarray:
     Each row is clamped to [0, 1] and renormalized; a row whose clamped
     sum is zero becomes uniform.
     """
-    v = np.clip(np.asarray(vec, dtype=np.float64), 0.0, 1.0)
-    sums = v.sum(axis=-1, keepdims=True)
+    v = np.asarray(vec, dtype=np.float64).clip(0.0, 1.0)
+    sums = np.add.reduce(v, axis=-1, keepdims=True)
     # A NaN row is not degenerate: it stays NaN for the caller's finiteness checks.
     return np.divide(v, sums, out=np.full_like(v, 0.5), where=~(sums <= 0.0))
 

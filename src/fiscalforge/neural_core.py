@@ -5,26 +5,21 @@ then biases, layer by layer): an allocation actor whose output head is
 a normalized-exponential map onto the simplex, and a scalar critic with
 a linear head. The flat layout doubles as the genome the evolutionary
 refiner crosses over and mutates; unflatten gives its per-layer views.
+Hidden activations are tanh, and everything is float64.
 
-Hidden activations are tanh. Everything is float64 and pure: forward
-and backward are functions of (params, input) only.
-
-One forward kernel, ``_forward_cached``, serves every caller. It takes
-a (..., P) stack of parameter vectors (one vector, the (2, P) twin
-critics, the (N, 1, P) GA population), and each network of a stack
-makes the BLAS calls it would make alone, so its rows are bit-identical
-to separate passes. Its cache keeps each layer's weight view, input and
-output, so a gradient never repeats the forward pass: ``_backward``
-runs from that cache and writes the flat (..., P) parameter gradient
-into one preallocated array, and ``vjp_batch`` is just the two
-composed. A single input is a batch of one.
-
-``forward_population``, the greedy action of many actors on many states
-(GA fitness and ``ActorPolicy.act``), passes each state as a batch of
-one, so action [i, t] equals a one-row ``forward_batch(genomes[i],
-spec, states[t][None])`` bit for bit wherever that row is finite.
-``forward_actor``, training's exploration action, is its one-genome,
-one-state call.
+One forward kernel, ``_forward_cached``, serves every caller. It reads
+the unflatten views of a (..., P) parameter stack (one vector, the
+(2, P) twin critics, the (N, 1, P) GA population); a caller that runs
+many passes over one buffer, as training does, splits it once and
+writes it only in place. Each network of a stack makes the BLAS calls
+it would make alone, so its rows are bit-identical to separate passes.
+The cache keeps each layer's weight view, input and output, so a
+gradient never repeats the forward pass: ``_backward`` runs from it,
+writing the parameter gradient into a caller's buffer and returning
+the input gradient, each only when asked for; ``vjp_batch`` is the two
+composed. ``forward_population`` (GA fitness, ``ActorPolicy.act``) and
+``forward_actor`` (training's exploration) pass each state as a batch of
+one: every action is a one-row ``forward_batch``'s, bit for bit.
 """
 
 import struct
@@ -116,15 +111,14 @@ def unflatten(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.nd
             for w, b, shape in spec._layout]
 
 
-def _forward_cached(params, spec, x):
-    """Batched forward pass of a (..., P) parameter stack; returns (output, cache).
+def _forward_cached(layers, spec, x):
+    """Batched forward pass of a (..., P) stack's unflatten views; returns (output, cache).
 
     Each (..., n, input_dim) input row gives a (..., n, output_dim)
     output row per network of the stack, broadcasting leading axes. The
     cache holds (weight view, layer input, layer output) per layer,
     input to output: all that _backward needs.
     """
-    layers = unflatten(params, spec)
     cache = []
     a = x
     for w, b in layers[:-1]:
@@ -138,37 +132,38 @@ def _forward_cached(params, spec, x):
     y += b[..., None, :]
     if spec.output_head == SIMPLEX:
         # Row-wise normalized exponential, shifted by the row maximum.
-        y -= y.max(axis=-1, keepdims=True)
+        y -= np.maximum.reduce(y, axis=-1, keepdims=True)
         np.exp(y, out=y)
-        y /= y.sum(axis=-1, keepdims=True)
+        y /= np.add.reduce(y, axis=-1, keepdims=True)
     cache.append((w, a, y))
     return y, cache
 
 
-def _backward(spec, cache, upstream):
+def _backward(spec, cache, upstream, grads, to_input):
     """Vector-Jacobian product from a _forward_cached cache.
 
     upstream is d(objective)/d(output), shape (..., batch, output_dim).
-    Returns (flat (..., P) parameter gradient, gradient w.r.t. the input rows).
+    Writes the parameter gradient into grads, the unflatten views of a
+    buffer of the stack's shape, unless grads is None; returns the
+    gradient w.r.t. the input rows if to_input, else None.
     """
-    grad = np.empty((*cache[-1][0].shape[:-2], spec.param_count()))
-    g_prev = None
-    for (w, a_in, out), (g_w, g_b) in zip(cache[::-1], unflatten(grad, spec)[::-1]):
-        if g_prev is None:
-            if spec.output_head == SIMPLEX:
-                # Through the normalized-exponential head: dz = y * (u - <u, y>).
-                g = out * (upstream - (upstream * out).sum(axis=-1, keepdims=True))
-            else:
-                g = upstream
-        else:
-            # Through tanh: dz = g * (1 - h^2).
-            g = out * out
-            np.subtract(1.0, g, out=g)
-            np.multiply(g_prev, g, out=g)
-        np.matmul(g.swapaxes(-1, -2), a_in, out=g_w)
-        np.add.reduce(g, axis=-2, out=g_b)
-        g_prev = g @ w
-    return grad, g_prev
+    g = upstream
+    for i in range(len(cache) - 1, -1, -1):
+        w, a_in, out = cache[i]
+        if i < len(cache) - 1:
+            d = out * out  # through tanh: dz = g * (1 - h^2)
+            np.subtract(1.0, d, out=d)
+            g = np.multiply(g, d, out=d)
+        elif spec.output_head == SIMPLEX:
+            # Through the normalized-exponential head: dz = y * (u - <u, y>).
+            g = out * (g - np.add.reduce(g * out, axis=-1, keepdims=True))
+        if grads is not None:
+            g_w, g_b = grads[i]
+            np.matmul(g.swapaxes(-1, -2), a_in, out=g_w)
+            np.add.reduce(g, axis=-2, out=g_b)
+        if i or to_input:
+            g = g @ w
+    return g if to_input else None
 
 
 def _as_batch(spec: MlpSpec, x) -> np.ndarray:
@@ -190,13 +185,26 @@ def _as_vector(spec: MlpSpec, params) -> np.ndarray:
 
 
 def forward_batch(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Forward of a (..., P) parameter stack over a (batch, input_dim) matrix."""
+    """Forward of a (..., P) stack, or its unflatten views, over a (batch, input_dim) matrix."""
+    if not isinstance(params, list):
+        params = unflatten(params, spec)
     return _forward_cached(params, spec, _as_batch(spec, x))[0]
 
 
 def forward_actor(params: np.ndarray, spec: MlpSpec, state: np.ndarray) -> np.ndarray:
-    """Greedy allocation of one actor on one state: a one-genome, one-state forward_population."""
-    return forward_population(np.asarray(params)[None], spec, np.asarray(state)[None])[0, 0]
+    """Greedy allocation of one actor, its (P,) vector or its unflatten views, on one state.
+
+    A one-row pass under the caller's numpy error state; a non-finite
+    allocation raises NumericError.
+    """
+    if spec.output_head != SIMPLEX:
+        raise ContractError("forward_actor requires a simplex output head")
+    if not isinstance(params, list):
+        params = unflatten(_as_vector(spec, params), spec)
+    y = _forward_cached(params, spec, state[None])[0][0]
+    if not np.isfinite(y).all():
+        raise NumericError("actor produced a non-finite allocation")
+    return y
 
 
 def forward_population(genomes: np.ndarray, spec: MlpSpec, states: np.ndarray) -> np.ndarray:
@@ -204,8 +212,8 @@ def forward_population(genomes: np.ndarray, spec: MlpSpec, states: np.ndarray) -
 
     The (N, 1, P) genome stack meets the states as (T, 1, input_dim)
     batches of one row, so every row makes the (1, d) @ (d, k) BLAS call
-    of a one-row forward_batch, and action [i, t] equals a one-genome,
-    one-state call bit for bit.
+    of a one-row forward_batch, and action [i, t] equals a forward_actor
+    call bit for bit.
     """
     if spec.output_head != SIMPLEX:
         raise ContractError("forward_population requires a simplex output head")
@@ -214,9 +222,10 @@ def forward_population(genomes: np.ndarray, spec: MlpSpec, states: np.ndarray) -
         raise ContractError(
             f"expected genomes of shape (n, {spec.param_count()}), got {genomes.shape}"
         )
+    layers = unflatten(genomes[:, None], spec)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        y = _forward_cached(genomes[:, None], spec, _as_batch(spec, states)[:, None, :])[0]
-    if not np.all(np.isfinite(y)):
+        y = _forward_cached(layers, spec, _as_batch(spec, states)[:, None, :])[0]
+    if not np.isfinite(y).all():
         raise NumericError("actor produced a non-finite allocation")
     return y[:, :, 0]
 
@@ -236,8 +245,9 @@ def vjp_batch(
             f"upstream gradient shape {upstream.shape} does not match "
             f"({x.shape[0]}, {spec.output_dim})"
         )
-    _, cache = _forward_cached(params, spec, x)
-    return _backward(spec, cache, upstream)
+    _, cache = _forward_cached(unflatten(params, spec), spec, x)
+    grad = np.empty(np.shape(params))
+    return grad, _backward(spec, cache, upstream, unflatten(grad, spec), True)
 
 
 @dataclass(frozen=True)

@@ -9,28 +9,25 @@ the actor output, re-projected onto the allocation simplex; the warmup
 phase fills the buffer with uniform-random allocations.
 
 The environment is open-loop (state t is quarter t, whatever the
-actions), so training reads the env's tables and never steps it: the
-step index and the previous action are two locals, and env.rewards
-scores the actions. Each pass of the loop takes a block of steps:
-during warmup the rest of the episode segment, drawn as one Dirichlet
+actions), so training reads the env's tables and never steps it. Each
+pass of the loop takes a block of steps, validated, scored and pushed
+once: during warmup the rest of the episode segment, one Dirichlet
 block (the same stream as one draw per step), and after it one actor
-step. Every block goes through one validation, one rewards call over
-its slice of steps and one push.
+step. The replay ring holds each transition's step index, action and
+reward; a minibatch reads its states from the env's tables.
 
 The actor and the (2, P) twin critics are views of one flat online
-buffer, and their targets views of one flat target buffer with the
-same layout, so one soft_update tracks all three targets. An update
-runs one forward pass per network, the twin critics as one stacked
-pass: the target actor and the target critics for the regression
-targets, the online critics for their loss, and, on actor steps, the
-actor and critic 1 for the policy gradient. Every gradient is taken
-from the cache of that one pass. The replay ring holds only each
-transition's step index, action and reward; a minibatch reads its
-states, next states and episode ends from the env's tables.
-
-Updates are plain gradient steps so every operation here stays a pure
-function of its arguments; training as a whole is a deterministic
-function of (environment, config) including the seed.
+buffer, their targets views of one flat target buffer of the same
+layout. train splits each network into its unflatten views once and
+keeps them valid by writing only in place: the critic and actor steps
+into their parameter and gradient buffers (``Trainable``), soft_update
+into the target buffer, and the minibatch into two preallocated
+(batch, 5) critic-input buffers. An update runs one forward pass per
+network, the twin critics as one stacked pass: the target actor and
+critics for the regression targets, the online critics for their loss,
+and, on actor steps, the actor and critic 1 for the policy gradient.
+Each backward pass runs from its forward pass's cache and computes only
+what its step reads. Training is deterministic given (env, config).
 """
 
 from dataclasses import dataclass
@@ -50,12 +47,14 @@ from .neural_core import (
     forward_actor,
     forward_batch,
     init_params,
+    unflatten,
 )
 
 __all__ = [
     "ReplayBuffer",
     "TD3Config",
     "TrainedPolicy",
+    "Trainable",
     "smoothed_target_actions",
     "compute_targets",
     "critic_update",
@@ -161,107 +160,99 @@ class TrainedPolicy(ActorPolicy):
     aux_params: dict[str, tuple[MlpSpec, np.ndarray]]  # name -> (spec, params)
 
 
+class Trainable:
+    """A network's flat (..., P) parameters and a gradient buffer of their shape, each
+    split into unflatten views once; the update steps write both only in place."""
+
+    def __init__(self, params: np.ndarray, spec: MlpSpec):
+        self.spec, self.params, self.grad = spec, params, np.empty_like(params)
+        self.layers, self.grad_layers = unflatten(params, spec), unflatten(self.grad, spec)
+
+
 def smoothed_target_actions(
-    params: np.ndarray,
-    spec: MlpSpec,
-    next_states: np.ndarray,
-    sigma: float,
-    clip: float,
+    params, spec: MlpSpec, next_states: np.ndarray, sigma: float, clip: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Target-actor outputs plus clipped Gaussian noise, back on the simplex.
 
     One noise draw per row; each row is projected by clip_to_simplex.
+    params is the target actor's flat parameters or their unflatten views.
     """
     a = forward_batch(params, spec, next_states)
-    noise = np.clip(rng.normal(0.0, sigma, size=a.shape), -clip, clip)
+    noise = rng.normal(0.0, sigma, size=a.shape).clip(-clip, clip)
     return clip_to_simplex(a + noise)
 
 
 def compute_targets(
-    actor_target: np.ndarray,
-    critic_targets: np.ndarray,
-    actor: MlpSpec,
-    critic: MlpSpec,
-    rewards: np.ndarray,
-    next_states: np.ndarray,
-    dones: np.ndarray,
-    config: TD3Config,
-    rng: np.random.Generator,
+    actor_target, critic_targets, actor: MlpSpec, critic: MlpSpec, rewards: np.ndarray,
+    next_x: np.ndarray, dones: np.ndarray, config: TD3Config, rng: np.random.Generator,
 ) -> np.ndarray:
     """Bootstrapped regression targets with the clipped double estimate.
 
     r + gamma * min_k Q_k'(s', a') over the (K, P) target-critic stack,
     at the smoothed target action a', or r alone where the episode ended.
+    Each target network is flat parameters or their unflatten views.
+    next_x is an (n, critic.input_dim) buffer whose first actor.input_dim
+    columns hold the next states s'; a' is written into the others.
     """
-    next_actions = smoothed_target_actions(
-        actor_target, actor, next_states,
+    d = actor.input_dim
+    next_x[:, d:] = smoothed_target_actions(
+        actor_target, actor, next_x[:, :d],
         config.target_noise_sigma, config.target_noise_clip, rng,
     )
-    next_x = np.concatenate([next_states, next_actions], axis=1)
-    q_next = forward_batch(critic_targets, critic, next_x)[..., 0].min(axis=0)
+    q_next = np.minimum.reduce(forward_batch(critic_targets, critic, next_x)[..., 0], axis=0)
     return np.where(dones, rewards, rewards + config.gamma * q_next)
 
 
 def critic_update(
-    critics: np.ndarray,
-    spec: MlpSpec,
-    states: np.ndarray,
-    actions: np.ndarray,
-    targets: np.ndarray,
-    learning_rate: float,
-) -> tuple[np.ndarray, float]:
-    """One mean-squared-error descent step per critic of a (K, P) stack; returns mean loss."""
-    x = _as_batch(spec, np.concatenate([states, actions], axis=1))
-    n = x.shape[0]
-    if n == 0:
-        raise ContractError("empty batch")
-    y = np.asarray(targets, dtype=np.float64).reshape(n, 1)
-    pred, cache = _forward_cached(critics, spec, x)
-    err = pred - y
-    losses = (err * err).mean(axis=(-2, -1))
-    grad, _ = _backward(spec, cache, 2.0 * err / n)
+    critics: Trainable, x: np.ndarray, targets: np.ndarray, learning_rate: float
+) -> None:
+    """One mean-squared-error descent step per critic of a (K, P) stack, in place.
+
+    x holds the (n, input_dim) critic inputs and targets their (n,)
+    regression targets. Writes critics.params and critics.grad only.
+    """
+    spec = critics.spec
+    n = len(_as_batch(spec, x))
+    pred, cache = _forward_cached(critics.layers, spec, x)
+    err = pred - targets.reshape(n, 1)
+    _backward(spec, cache, 2.0 * err / n, critics.grad_layers, False)
     # A non-finite loss or gradient always leaves non-finite parameters.
-    critics = critics - learning_rate * grad
-    if not np.all(np.isfinite(critics)):
+    critics.grad *= learning_rate
+    critics.params -= critics.grad
+    if not np.isfinite(critics.params).all():
         raise NumericError("critic step left non-finite parameters")
-    return critics, float(losses.mean())
 
 
 def actor_update(
-    actor_params: np.ndarray,
-    actor: MlpSpec,
-    critic1_params: np.ndarray,
-    critic: MlpSpec,
-    states: np.ndarray,
-    learning_rate: float,
-) -> np.ndarray:
-    """One ascent step on the batch mean of critic 1 at the actor's actions.
+    actor: Trainable, critic1: list, critic: MlpSpec, x: np.ndarray, learning_rate: float
+) -> None:
+    """One ascent step on the batch mean of critic 1 at the actor's actions, in place.
 
-    The gradient reaches the actor through the action slice of the
-    critic's input; critic parameters stay fixed.
+    critic1 is critic 1's unflatten views, of spec critic. x is an (n,
+    critic.input_dim) buffer whose first actor.spec.input_dim columns
+    hold the states; the actor's actions are written into the others,
+    and the gradient reaches the actor through them. Writes actor.params,
+    actor.grad and x's action columns only.
     """
-    states = _as_batch(actor, states)
-    n = states.shape[0]
-    actions, actor_cache = _forward_cached(actor_params, actor, states)
-    x = _as_batch(critic, np.concatenate([states, actions], axis=1))
-    _, critic_cache = _forward_cached(critic1_params, critic, x)
-    _, input_grad = _backward(critic, critic_cache, np.full((n, 1), 1.0 / n))
-    action_grad = input_grad[:, states.shape[1]:]
-    actor_grad, _ = _backward(actor, actor_cache, action_grad)
-    actor_params = actor_params + learning_rate * actor_grad
-    if not np.all(np.isfinite(actor_params)):
+    n, d = len(_as_batch(critic, x)), actor.spec.input_dim
+    x[:, d:], actor_cache = _forward_cached(actor.layers, actor.spec, x[:, :d])
+    _, critic_cache = _forward_cached(critic1, critic, x)
+    input_grad = _backward(critic, critic_cache, np.full((n, 1), 1.0 / n), None, True)
+    _backward(actor.spec, actor_cache, input_grad[:, d:], actor.grad_layers, False)
+    actor.grad *= learning_rate
+    actor.params += actor.grad
+    if not np.isfinite(actor.params).all():
         raise NumericError("actor step left non-finite parameters")
-    return actor_params
 
 
 def soft_update(target_params: np.ndarray, online_params: np.ndarray, tau: float) -> np.ndarray:
-    """Exponential tracking: (1 - tau) * target + tau * online."""
-    target_params = np.asarray(target_params, dtype=np.float64)
-    online_params = np.asarray(online_params, dtype=np.float64)
+    """Exponential tracking, in place: target = (1 - tau) * target + tau * online."""
     if target_params.shape != online_params.shape:
         raise ContractError("target and online parameter layouts differ")
-    return (1.0 - tau) * target_params + tau * online_params
+    target_params *= 1.0 - tau
+    target_params += tau * online_params
+    return target_params
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -271,7 +262,7 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
     A NumericError raised in an update, or in the exploration action
     after it, is re-raised naming the update's index (counted from 1)
     and the network, critic or actor, that failed. Each update checks
-    the parameters it returns, so a divergence is charged to the update
+    the parameters it writes, so a divergence is charged to the update
     that caused it; a non-finite target after the last update is
     reported the same way.
     numpy's overflow and invalid-value warnings are off: these checks
@@ -286,8 +277,11 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
     online = np.concatenate([init_params(ACTOR_SPEC, config.seed)]
                             + [init_params(CRITIC_SPEC, config.seed + k) for k in (1, 2)])
     target = online.copy()
-    actor, critics = split(online)
-    actor_t, critics_t = split(target)
+    actor, critics = map(Trainable, split(online), (ACTOR_SPEC, CRITIC_SPEC))
+    critic1 = unflatten(critics.params[0], CRITIC_SPEC)
+    actor_t, critics_t = map(unflatten, split(target), (ACTOR_SPEC, CRITIC_SPEC))
+    # The critic inputs (state, action) of the minibatch and of its next states.
+    x, next_x = np.empty((2, config.batch_size, CRITIC_SPEC.input_dim))
     rng = np.random.default_rng(config.seed + 3)
 
     buffer = ReplayBuffer(config.buffer_capacity)
@@ -310,7 +304,8 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
             else:
                 k = 1
                 noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
-                a = clip_to_simplex(forward_actor(actor, ACTOR_SPEC, states[t]) + noise)[None]
+                a = clip_to_simplex(forward_actor(actor.layers, ACTOR_SPEC, states[t]) + noise)
+                a = a[None]
             a = validate_action(a)
             prevs = np.concatenate([prev[None], a[:-1]])
             totals = env.rewards(a, prevs, slice(t, t + k)).total
@@ -329,21 +324,16 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
 
             n_updates += 1
             network = "critic"
-            ts, batch_actions, rewards = buffer.sample(config.batch_size, rng)
-            batch_states, next_states = states[ts], states[ts + 1]
-            targets = compute_targets(
-                actor_t, critics_t, ACTOR_SPEC, CRITIC_SPEC, rewards, next_states,
-                ts + 1 == n_steps, config, rng,
-            )
-            critics[:] = critic_update(critics, CRITIC_SPEC, batch_states, batch_actions, targets,
-                                       config.learning_rate)[0]
+            ts, x[:, STATE_DIM:], rewards = buffer.sample(config.batch_size, rng)
+            x[:, :STATE_DIM], next_x[:, :STATE_DIM] = states[ts], states[ts + 1]
+            targets = compute_targets(actor_t, critics_t, ACTOR_SPEC, CRITIC_SPEC, rewards, next_x,
+                                      ts + 1 == n_steps, config, rng)
+            critic_update(critics, x, targets, config.learning_rate)
             network = "actor"
 
             if n_updates % config.actor_delay == 0:
-                actor[:] = actor_update(actor, ACTOR_SPEC, critics[0], CRITIC_SPEC, batch_states,
-                                        config.learning_rate)
-                target = soft_update(target, online, config.tau)
-                actor_t, critics_t = split(target)
+                actor_update(actor, critic1, CRITIC_SPEC, x, config.learning_rate)
+                soft_update(target, online, config.tau)
         finite = np.isfinite(online) & np.isfinite(target)
         if not finite.all():
             network = "critic" if finite[:n_actor].all() else "actor"
@@ -351,13 +341,12 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
     except NumericError as exc:
         raise NumericError(f"update {n_updates}, {network}: {exc}") from exc
 
+    actor_t, critics_t = split(target)
     return TrainedPolicy(
-        spec=ACTOR_SPEC,
-        params=actor,
-        episode_rewards=tuple(episode_rewards),
+        spec=ACTOR_SPEC, params=actor.params, episode_rewards=tuple(episode_rewards),
         aux_params={
-            "critic1": (CRITIC_SPEC, critics[0]),
-            "critic2": (CRITIC_SPEC, critics[1]),
+            "critic1": (CRITIC_SPEC, critics.params[0]),
+            "critic2": (CRITIC_SPEC, critics.params[1]),
             "actor_target": (ACTOR_SPEC, actor_t),
             "critic1_target": (CRITIC_SPEC, critics_t[0]),
             "critic2_target": (CRITIC_SPEC, critics_t[1]),

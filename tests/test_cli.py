@@ -670,6 +670,40 @@ def test_failed_write_leaves_every_artifact_whole(tmp_path, monkeypatch, capsys)
             assert (out / name).read_bytes() in (runs[7][name], runs[8][name]), name
 
 
+@pytest.mark.parametrize("stage, failing", [
+    ("train", "history.jsonl"),
+    ("refine", "generations.jsonl"),
+])
+def test_failed_stage_leaves_none_of_its_older_outputs(
+    tmp_path, monkeypatch, capsys, stage, failing
+):
+    """A 3-generation pipeline, then a 1-generation rerun of one stage at
+    another seed whose write of one output fails: main exits 3, and every
+    output of that stage still present is the rerun's, not the pipeline's."""
+    from fiscalforge import atomic
+
+    config = _write_config(tmp_path, {"ga": {"generations": 3}})
+    assert main(["pipeline", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    old = {p.name: p.read_bytes() for p in out.iterdir()}
+    config = _write_config(tmp_path, {"ga": {"generations": 1}})
+
+    def failing_open(file, *args, **kwargs):
+        if file.name.startswith(f".{failing}."):  # atomic_open's ".<name>.<pid>.tmp"
+            raise OSError(errno.ENOSPC, "No space left on device (injected)")
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(atomic, "open", failing_open, raising=False)
+    assert main([stage, "--config", str(config), "--seed", "8"]) == 3
+    assert "injected" in capsys.readouterr().err
+    stage_files = TRAIN_FILES if stage == "train" else REFINE_FILES
+    left = {p.name for p in out.iterdir()} & stage_files
+    assert failing not in left
+    assert left, "the stage wrote nothing before the failing write"
+    for name in left:
+        assert (out / name).read_bytes() != old[name], name
+
+
 README_CONFIG = {
     "data": {"path": str(FIXTURE_CSV), "train_fraction": 0.8},
     "environment": {"lambda1": 0.1, "lambda2": 0.01, "confidence": 1.0, "prior": [5.0, 3.0]},

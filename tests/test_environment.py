@@ -106,6 +106,51 @@ class TestActionValidation:
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
+_SPECIAL = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+            1e-6, -1e-6, 1e-7, -1e-7, 0.5, 1.0, -1.0, 1.0 + 2e-6, 2.0]
+# Every pair of special values as one row.
+_SPECIAL_ROWS = np.array([[a, b] for a in _SPECIAL for b in _SPECIAL])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 8, 9, 17, 33, len(_SPECIAL_ROWS)])
+def test_clamps_are_the_np_clip_calls_they_replace(rows):
+    """np.maximum(a, 0.0) in validate_action and ndarray.clip in clip_to_simplex
+    give np.clip's bits, the sign of zero and NaN payloads included, at stack
+    lengths that reach numpy's vector loops and their scalar tails."""
+    a = np.roll(_SPECIAL_ROWS, rows, axis=0)[:rows]
+    assert np.maximum(a, 0.0).tobytes() == np.clip(a, 0.0, None).tobytes()
+    assert a.clip(0.0, 1.0).tobytes() == np.clip(a, 0.0, 1.0).tobytes()
+
+
+def _reference_validate(action):
+    """validate_action's checks spelled as separate tests, each its own pass."""
+    a = np.asarray(action, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ContractError("action contains non-finite components")
+    off = np.any(a < -1e-6, axis=-1) | (np.abs(a.sum(axis=-1) - 1.0) > 1e-6)
+    if np.any(off):
+        row = a.reshape(-1, 2)[np.flatnonzero(off)[0]]
+        raise ContractError(f"action {row.tolist()} is off the simplex beyond 1e-06")
+    a = np.clip(a, 0.0, None)
+    return a / a.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.sampled_from(range(len(_SPECIAL_ROWS))), min_size=1, max_size=6),
+       shape=st.sampled_from([(-1, 2), (-1, 1, 2), (1, -1, 2)]))
+def test_validate_action_matches_its_reference(rows, shape):
+    """The same bits, or the same error message, as the separate checks."""
+    a = _SPECIAL_ROWS[rows].reshape(shape)
+    try:
+        want = _reference_validate(a)
+    except ContractError as exc:
+        with pytest.raises(ContractError) as got:
+            validate_action(a)
+        assert str(got.value) == str(exc)
+    else:
+        assert validate_action(a).tobytes() == want.tobytes()
+
+
 def _bits(result):
     """The bytes of a step's four reward terms and its next state."""
     r = result.reward

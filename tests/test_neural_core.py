@@ -16,6 +16,7 @@ from fiscalforge.neural_core import (
     export_json,
     forward_actor,
     forward_batch,
+    forward_population,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -271,8 +272,8 @@ class TestCheckpoint:
 
 
 class TestForwardActorProperty:
-    """forward_actor is forward_population's one-row call; a one-row forward_batch,
-    the per-row pass it replaced, is the independent reference."""
+    """forward_actor, from the flat vector or its unflatten views, and a one-genome,
+    one-state forward_population against a one-row forward_batch, the reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -288,13 +289,17 @@ class TestForwardActorProperty:
         spec = MlpSpec(3, hidden, 2, "simplex")
         params = scale * np.random.default_rng(seed).normal(size=spec.param_count())
         state = np.array(state)
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # forward_actor runs under the caller's error state
             expected = forward_batch(params, spec, state[None])[0]
-        if np.all(np.isfinite(expected)):
-            assert forward_actor(params, spec, state).tobytes() == expected.tobytes()
-        else:
-            with pytest.raises(NumericError):
-                forward_actor(params, spec, state)
+            calls = [lambda: forward_actor(params, spec, state),
+                     lambda: forward_actor(unflatten(params, spec), spec, state),
+                     lambda: forward_population(params[None], spec, state[None])[0, 0]]
+            for call in calls:
+                if np.all(np.isfinite(expected)):
+                    assert call().tobytes() == expected.tobytes()
+                else:
+                    with pytest.raises(NumericError):
+                        call()
 
 
 class TestActorPolicy:
@@ -408,13 +413,19 @@ class TestParameterStacks:
         stack = rng.normal(0, 0.8, size=(k, spec.param_count()))
         x = rng.normal(size=(n, spec.input_dim))
         upstream = rng.normal(size=(k, n, spec.output_dim))
-        y, cache = _forward_cached(stack, spec, x)
-        grad, x_grad = _backward(spec, cache, upstream)
+        y, cache = _forward_cached(unflatten(stack, spec), spec, x)
+        grad = np.empty_like(stack)
+        x_grad = _backward(spec, cache, upstream, unflatten(grad, spec), True)
         assert y.shape == (k, n, spec.output_dim)
-        assert grad.shape == stack.shape
         for row in range(k):
-            y_row, cache_row = _forward_cached(stack[row], spec, x)
-            grad_row, x_grad_row = _backward(spec, cache_row, upstream[row])
+            y_row, cache_row = _forward_cached(unflatten(stack[row], spec), spec, x)
+            grad_row = np.empty_like(stack[row])
+            x_grad_row = _backward(spec, cache_row, upstream[row], unflatten(grad_row, spec), True)
             np.testing.assert_array_equal(y[row], y_row)
             np.testing.assert_array_equal(grad[row], grad_row)
             np.testing.assert_array_equal(x_grad[row], x_grad_row)
+        # Each half alone, as the update steps take it, gives the same bits.
+        params_only = np.empty_like(stack)
+        assert _backward(spec, cache, upstream, unflatten(params_only, spec), False) is None
+        np.testing.assert_array_equal(params_only, grad)
+        np.testing.assert_array_equal(_backward(spec, cache, upstream, None, True), x_grad)

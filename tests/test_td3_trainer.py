@@ -1,5 +1,7 @@
 """Trainer mechanics: targets, noise, replay, updates, end-to-end runs."""
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiscalforge import td3_trainer
+from fiscalforge import neural_core, td3_trainer
 from fiscalforge.data_ingest import chrono_split, fit_scaler, load_series
 from fiscalforge.environment import (
     BeliefConfig,
@@ -21,6 +23,7 @@ from fiscalforge.neural_core import (
     MlpSpec,
     forward_batch,
     init_params,
+    unflatten,
     vjp_batch,
 )
 from fiscalforge.td3_trainer import (
@@ -29,6 +32,7 @@ from fiscalforge.td3_trainer import (
     CRITIC_SPEC,
     ReplayBuffer,
     TD3Config,
+    Trainable,
     actor_update,
     compute_targets,
     critic_update,
@@ -54,10 +58,11 @@ def _targets(rewards, dones, critic1, critic2, gamma=0.99, seed=0):
     """compute_targets with a fixed target actor; next states come from seed + 100."""
     rewards = np.atleast_1d(np.asarray(rewards, dtype=np.float64))
     n = rewards.size
-    next_states = np.random.default_rng(seed + 100).normal(size=(n, 3))
+    next_x = np.empty((n, SMALL_CRITIC.input_dim))
+    next_x[:, :3] = np.random.default_rng(seed + 100).normal(size=(n, 3))
     return compute_targets(
         init_params(SMALL_ACTOR, 3), np.stack([critic1, critic2]), SMALL_ACTOR, SMALL_CRITIC,
-        rewards, next_states, np.broadcast_to(np.asarray(dones), (n,)),
+        rewards, next_x, np.broadcast_to(np.asarray(dones), (n,)),
         TD3Config(gamma=gamma), np.random.default_rng(seed),
     )
 
@@ -225,6 +230,27 @@ def _batch(rng, n=6):
     return states, actions
 
 
+def _critic_step(critics, states, actions, targets, lr):
+    """critic_update on a copy of a (K, P) critic stack; returns the updated copy."""
+    net = Trainable(np.array(critics, dtype=np.float64), SMALL_CRITIC)
+    critic_update(net, np.concatenate([states, actions], axis=1), targets, lr)
+    return net.params
+
+
+def _loss(critic, states, actions, targets):
+    """Mean squared error of one critic against its regression targets."""
+    x = np.concatenate([states, actions], axis=1)
+    return float(((forward_batch(critic, SMALL_CRITIC, x)[:, 0] - targets) ** 2).mean())
+
+
+def _actor_step(actor, critic1, states, lr):
+    """actor_update on a copy of the actor, ascending critic1; returns the updated copy."""
+    net = Trainable(actor.copy(), SMALL_ACTOR)
+    x = np.concatenate([states, np.zeros((len(states), ACTION_DIM))], axis=1)
+    actor_update(net, unflatten(critic1, SMALL_CRITIC), SMALL_CRITIC, x, lr)
+    return net.params
+
+
 class TestCriticUpdate:
     def test_stationary_at_exact_targets(self):
         rng = np.random.default_rng(2)
@@ -232,19 +258,14 @@ class TestCriticUpdate:
         states, actions = _batch(rng)
         x = np.concatenate([states, actions], axis=1)
         targets = forward_batch(params, SMALL_CRITIC, x)[:, 0]
-        (updated,), loss = critic_update(
-            params[None], SMALL_CRITIC, states, actions, targets, 0.1
-        )
+        (updated,) = _critic_step(params[None], states, actions, targets, 0.1)
         np.testing.assert_array_equal(updated, params)
-        assert loss == 0.0
 
     def test_zero_learning_rate(self):
         rng = np.random.default_rng(3)
         params = init_params(SMALL_CRITIC, 3)
         states, actions = _batch(rng)
-        (updated,), _ = critic_update(
-            params[None], SMALL_CRITIC, states, actions, rng.normal(size=6), 0.0
-        )
+        (updated,) = _critic_step(params[None], states, actions, rng.normal(size=6), 0.0)
         np.testing.assert_array_equal(updated, params)
 
     def test_single_transition_loss_decreases(self):
@@ -252,38 +273,27 @@ class TestCriticUpdate:
         params = init_params(SMALL_CRITIC, 4)
         states, actions = _batch(rng, n=1)
         targets = np.array([-2.0])
-        (updated,), loss_before = critic_update(
-            params[None], SMALL_CRITIC, states, actions, targets, 0.05
-        )
-        _, loss_after = critic_update(
-            updated[None], SMALL_CRITIC, states, actions, targets, 0.05
-        )
-        assert loss_after < loss_before
+        (updated,) = _critic_step(params[None], states, actions, targets, 0.05)
+        assert _loss(updated, states, actions, targets) < _loss(params, states, actions, targets)
 
     def test_both_critics_updated_independently(self):
         rng = np.random.default_rng(5)
         p1, p2 = init_params(SMALL_CRITIC, 6), init_params(SMALL_CRITIC, 7)
         states, actions = _batch(rng)
-        (u1, u2), _ = critic_update(
-            np.stack([p1, p2]), SMALL_CRITIC, states, actions, rng.normal(size=6), 0.01
-        )
+        u1, u2 = _critic_step(np.stack([p1, p2]), states, actions, rng.normal(size=6), 0.01)
         assert np.any(u1 != p1) and np.any(u2 != p2)
         assert np.any(u1 != u2)
 
     def test_stack_matches_each_critic_alone(self):
-        """Each row of a stacked update, and the mean loss, as K one-critic updates."""
+        """Each row of a stacked update equals a one-critic update of that row."""
         rng = np.random.default_rng(9)
         critics = np.stack([init_params(SMALL_CRITIC, seed) for seed in (11, 12, 13)])
         states, actions = _batch(rng, n=17)
         targets = rng.normal(size=17)
-        updated, loss = critic_update(critics, SMALL_CRITIC, states, actions, targets, 0.01)
+        updated = _critic_step(critics, states, actions, targets, 0.01)
         for row, row_updated in zip(critics, updated):
-            (alone,), _ = critic_update(row[None], SMALL_CRITIC, states, actions, targets, 0.01)
+            (alone,) = _critic_step(row[None], states, actions, targets, 0.01)
             np.testing.assert_array_equal(row_updated, alone)
-        x = np.concatenate([states, actions], axis=1)
-        row_losses = [float(((forward_batch(row, SMALL_CRITIC, x) - targets[:, None]) ** 2).mean())
-                      for row in critics]
-        assert loss == np.mean(row_losses)
 
 
 class TestActorUpdate:
@@ -292,8 +302,7 @@ class TestActorUpdate:
         actor = init_params(SMALL_ACTOR, 8)
         critic = init_params(SMALL_CRITIC, 9)
         states = rng.normal(size=(5, 3))
-        updated = actor_update(actor, SMALL_ACTOR, critic, SMALL_CRITIC, states, 0.0)
-        np.testing.assert_array_equal(updated, actor)
+        np.testing.assert_array_equal(_actor_step(actor, critic, states, 0.0), actor)
 
     def test_gradient_matches_finite_differences(self):
         """Ascent direction equals d/dtheta of batch-mean Q1(s, pi(s))."""
@@ -308,7 +317,7 @@ class TestActorUpdate:
             return float(forward_batch(critic, SMALL_CRITIC, x).mean())
 
         lr = 1.0
-        analytic = actor_update(actor, SMALL_ACTOR, critic, SMALL_CRITIC, states, lr) - actor
+        analytic = _actor_step(actor, critic, states, lr) - actor
         h = 1e-5
         numeric = np.zeros_like(actor)
         for j in range(actor.size):
@@ -324,8 +333,7 @@ class TestActorUpdate:
         actor = init_params(SMALL_ACTOR, 10)
         constant_critic = np.zeros(SMALL_CRITIC.param_count())  # Q(s, a) = 0
         states = rng.normal(size=(5, 3))
-        updated = actor_update(actor, SMALL_ACTOR, constant_critic, SMALL_CRITIC, states, 0.5)
-        np.testing.assert_array_equal(updated, actor)
+        np.testing.assert_array_equal(_actor_step(actor, constant_critic, states, 0.5), actor)
 
 
 class TestSoftUpdate:
@@ -334,8 +342,8 @@ class TestSoftUpdate:
         np.testing.assert_array_equal(soft_update(t, o, 1.0), o)
 
     def test_tau_zero_keeps_target(self):
-        t, o = np.zeros(4), np.arange(4.0)
-        np.testing.assert_array_equal(soft_update(t, o, 0.0), t)
+        t, o = np.arange(4.0) - 9.0, np.arange(4.0)
+        np.testing.assert_array_equal(soft_update(t.copy(), o, 0.0), t)
 
     def test_midpoint(self):
         out = soft_update(np.zeros(3), np.full(3, 2.0), 0.5)
@@ -344,6 +352,62 @@ class TestSoftUpdate:
     def test_layout_mismatch(self):
         with pytest.raises(ContractError):
             soft_update(np.zeros(3), np.zeros(4), 0.5)
+
+
+class TestUpdatesInPlace:
+    """Each update writes its own buffers in place and nothing else, as train lays them out.
+
+    train keeps the actor and the twin critics as views of one flat
+    online buffer and the targets as views of one flat target buffer;
+    a write outside a step's own buffers, or a buffer rebound instead of
+    written, would desynchronise those views.
+    """
+
+    def _layout(self, seed=0):
+        rng = np.random.default_rng(seed)
+        n_actor = SMALL_ACTOR.param_count()
+        online = rng.normal(0, 0.5, size=n_actor + 2 * SMALL_CRITIC.param_count())
+        target = rng.normal(0, 0.5, size=online.size)
+        actor = Trainable(online[:n_actor], SMALL_ACTOR)
+        critics = Trainable(online[n_actor:].reshape(2, -1), SMALL_CRITIC)
+        states, actions = _batch(rng, n=9)
+        return online, target, actor, critics, np.concatenate([states, actions], axis=1)
+
+    def test_critic_update_writes_only_the_critics(self):
+        online, target, actor, critics, x = self._layout()
+        targets = np.random.default_rng(1).normal(size=len(x))
+        before = [a.copy() for a in (online, target, x, targets)]
+        critic_update(critics, x, targets, 0.1)
+        n_actor = actor.params.size
+        np.testing.assert_array_equal(online[:n_actor], before[0][:n_actor])
+        assert np.all(online[n_actor:] != before[0][n_actor:])
+        for got, want in zip((target, x, targets), before[1:]):
+            np.testing.assert_array_equal(got, want)
+        # The views split once still read the updated buffer.
+        assert critics.params.base is online
+        np.testing.assert_array_equal(forward_batch(critics.layers, SMALL_CRITIC, x),
+                                      forward_batch(critics.params, SMALL_CRITIC, x))
+
+    def test_actor_update_writes_only_the_actor_and_the_action_columns(self):
+        online, target, actor, critics, x = self._layout(2)
+        before = [a.copy() for a in (online, target, x)]
+        critic1 = unflatten(critics.params[0], SMALL_CRITIC)
+        actor_update(actor, critic1, SMALL_CRITIC, x, 0.1)
+        n_actor = actor.params.size
+        assert np.all(online[:n_actor] != before[0][:n_actor])
+        np.testing.assert_array_equal(online[n_actor:], before[0][n_actor:])
+        np.testing.assert_array_equal(target, before[1])
+        np.testing.assert_array_equal(x[:, :3], before[2][:, :3])
+        # The action columns hold the pre-step actor's actions.
+        old_actor = before[0][:n_actor]
+        np.testing.assert_array_equal(x[:, 3:], forward_batch(old_actor, SMALL_ACTOR, x[:, :3]))
+
+    def test_soft_update_writes_only_the_target(self):
+        online, target, *_ = self._layout(3)
+        before = online.copy(), target.copy()
+        assert soft_update(target, online, 0.25) is target
+        np.testing.assert_array_equal(online, before[0])
+        np.testing.assert_array_equal(target, 0.75 * before[1] + 0.25 * before[0])
 
 
 def _small_series():
@@ -395,6 +459,45 @@ class TestTrain:
                         warmup_steps=10, seed=3)
         policy = train(env, cfg)
         assert len(policy.episode_rewards) == 4
+
+
+class TestPerUpdateWork:
+    """Counted calls, not timings: what one run of train does per step and per update."""
+
+    TRACKED = (
+        (neural_core, "unflatten"), (neural_core, "forward_actor"),
+        (td3_trainer, "critic_update"), (td3_trainer, "actor_update"),
+        (td3_trainer, "soft_update"), (td3_trainer.ReplayBuffer, "sample"),
+    )
+
+    def _calls(self, config):
+        """Calls of each tracked function during one train run, seen by sys.setprofile."""
+        names = {getattr(owner, name).__code__: name for owner, name in self.TRACKED}
+        counts = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                counts[names[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            train(_small_env(), config)
+        finally:
+            sys.setprofile(None)
+        return counts
+
+    def test_buffers_are_split_once_and_each_step_runs_once(self):
+        warmup, delay = 50, 2
+        runs = {}
+        for past_warmup in (200, 400):
+            config = TD3Config(total_timesteps=warmup + past_warmup, warmup_steps=warmup,
+                               batch_size=16, actor_delay=delay, seed=8)
+            runs[past_warmup] = calls = self._calls(config)
+            # Every step past warmup is one exploration action and one update.
+            assert calls["forward_actor"] == past_warmup
+            assert calls["critic_update"] == calls["sample"] == past_warmup
+            assert calls["actor_update"] == calls["soft_update"] == past_warmup // delay
+        assert runs[200]["unflatten"] == runs[400]["unflatten"] > 0
 
 
 # -- independent oracle: the step-by-step training loop -----------------------
@@ -606,21 +709,20 @@ class TestNumericGuards:
     def test_non_finite_critic_loss(self):
         states, actions = _batch(np.random.default_rng(0))
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            critic_update(init_params(SMALL_CRITIC, 1)[None], SMALL_CRITIC, states, actions,
-                          np.full(6, np.inf), 0.1)
+            _critic_step(init_params(SMALL_CRITIC, 1)[None], states, actions,
+                         np.full(6, np.inf), 0.1)
 
     def test_non_finite_actor_gradient(self):
         critic = np.full(SMALL_CRITIC.param_count(), np.nan)
         states = np.random.default_rng(1).normal(size=(4, 3))
         with pytest.raises(NumericError):
-            actor_update(init_params(SMALL_ACTOR, 2), SMALL_ACTOR, critic, SMALL_CRITIC,
-                         states, 0.1)
+            _actor_step(init_params(SMALL_ACTOR, 2), critic, states, 0.1)
 
     def test_update_input_shapes_checked(self):
         states, actions = _batch(np.random.default_rng(2))
         with pytest.raises(ContractError):
-            critic_update(init_params(SMALL_CRITIC, 1)[None], SMALL_CRITIC, states[:, :2],
-                          actions, np.zeros(6), 0.1)
+            _critic_step(init_params(SMALL_CRITIC, 1)[None], states[:, :2], actions,
+                         np.zeros(6), 0.1)
         with pytest.raises(ContractError):
-            actor_update(init_params(SMALL_ACTOR, 2), SMALL_ACTOR,
-                         init_params(SMALL_CRITIC, 1), SMALL_CRITIC, states[:, :2], 0.1)
+            _actor_step(init_params(SMALL_ACTOR, 2), init_params(SMALL_CRITIC, 1),
+                        states[:, :2], 0.1)
