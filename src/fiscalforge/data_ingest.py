@@ -1,9 +1,9 @@
 """Quarterly financial CSV ingestion, min-max scaling, chronological split.
 
-Input format: UTF-8 CSV with header ``period,rnd,sga,net_income``, one
-row per quarter, periods written ``YYYY-Q[1-4]``, amounts in million
-USD. Rows with any empty field are dropped and counted; anything else
-malformed is an error.
+Input format: UTF-8 CSV, with or without a byte order mark, with header
+``period,rnd,sga,net_income``, one row per quarter, periods written
+``YYYY-Q[1-4]``, amounts in million USD. Rows with any empty field are
+dropped and counted; anything else malformed is an error.
 
 A series is its sorted period labels and one read-only (n, 3) float64
 array of [rnd, sga, net_income] rows. The scaler is fit on whatever
@@ -72,7 +72,8 @@ def load_series(path: str | Path) -> FinancialSeries:
     """Parse, validate, and chronologically sort a quarterly CSV."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        # utf-8-sig also reads a file that starts with a byte order mark.
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -25,16 +25,20 @@ near the float maximum) raises ContractError. The states, empirical
 shares and belief vectors are published as read-only tables.
 
 One reward helper, rewards(a, prev, t), scores validated actions
-against the tables at one step or a slice of steps. An episode is
-open-loop (state t is the scaled quarter t, whatever the actions), so
-no caller needs a step loop: training scores each block of steps (a
-warmup segment or one actor step) with one rewards() call over its
-slice, and episode_rewards scores a stack of whole action sequences
+against the tables at one step, a slice of steps or an array of step
+indices. An episode is open-loop (state t is the scaled quarter t,
+whatever the actions), so no caller needs a step loop: training scores
+each block of steps (a warmup block, which may run across episode
+ends, or one actor step) with one rewards() call over its step
+indices, and episode_rewards scores a stack of whole action sequences
 (GA fitness, evaluation and trace.jsonl). reset()/step() take one
 action at a time; no production code calls them. All of them give
 the same terms bit for bit. Each action sequence is validated exactly
 once: validate_action renormalizes, so a second pass could move the
-last ulp.
+last ulp. An action row has two shares, so validate_action,
+clip_to_simplex and rewards take its two columns as views and add
+them, where a reduction over the length-2 axis would run numpy's
+reduce loop once per row for the same bits.
 
 State vectors are float64 arrays laid out [rnd, sga, net_income] in
 scaled units; actions and empirical allocations are length-2 simplex
@@ -122,15 +126,15 @@ def validate_action(action: np.ndarray) -> np.ndarray:
     a = np.asarray(action, dtype=np.float64)
     if a.ndim < 1 or a.shape[-1] != 2:
         raise ContractError(f"action rows must have 2 components, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ContractError("action contains non-finite components")
-    off = ((np.minimum.reduce(a, axis=-1) < -ACTION_TOLERANCE)
-           | (np.abs(np.add.reduce(a, axis=-1) - 1.0) > ACTION_TOLERANCE))
-    if off.any():
+    a0, a1 = a[..., 0], a[..., 1]
+    off = (np.minimum(a0, a1) < -ACTION_TOLERANCE) | (np.abs(a0 + a1 - 1.0) > ACTION_TOLERANCE)
+    if np.logical_or.reduce(off, axis=None):
         row = a.reshape(-1, 2)[np.flatnonzero(off)[0]]
         raise ContractError(f"action {row.tolist()} is off the simplex beyond {ACTION_TOLERANCE}")
     a = np.maximum(a, 0.0)  # np.clip(a, 0.0, None) is this very ufunc call
-    return a / np.add.reduce(a, axis=-1, keepdims=True)
+    return a / (a[..., :1] + a[..., 1:])
 
 
 def clip_to_simplex(vec: np.ndarray) -> np.ndarray:
@@ -139,10 +143,13 @@ def clip_to_simplex(vec: np.ndarray) -> np.ndarray:
     Each row is clamped to [0, 1] and renormalized; a row whose clamped
     sum is zero becomes uniform.
     """
-    v = np.asarray(vec, dtype=np.float64).clip(0.0, 1.0)
-    sums = np.add.reduce(v, axis=-1, keepdims=True)
+    # The bits of v.clip(0.0, 1.0), the sign of zero included, without its wrapper.
+    v = np.minimum(np.maximum(0.0, np.asarray(vec, dtype=np.float64)), 1.0)
+    sums = v[..., :1] + v[..., 1:]
+    out = np.empty_like(v)
+    out.fill(0.5)
     # A NaN row is not degenerate: it stays NaN for the caller's finiteness checks.
-    return np.divide(v, sums, out=np.full_like(v, 0.5), where=~(sums <= 0.0))
+    return np.divide(v, sums, out=out, where=~(sums <= 0.0))
 
 
 class BudgetEnv:
@@ -228,15 +235,19 @@ class BudgetEnv:
         prev = np.concatenate([first, a[..., :-1, :]], axis=-2)
         return a, self.rewards(a, prev, slice(None))
 
-    def rewards(self, a: np.ndarray, prev: np.ndarray, t: int | slice) -> RewardBreakdown:
+    def rewards(
+        self, a: np.ndarray, prev: np.ndarray, t: int | slice | np.ndarray
+    ) -> RewardBreakdown:
         """The reward terms of validated actions a after prev, at step(s) t of the tables.
 
         a and prev are one (2,) action or stacks whose (..., k, 2) rows
-        line up with the k steps of the slice t. The smoothness norm
+        line up with the k steps that the slice or index array t
+        selects. The smoothness norm
         goes through the (1, 2) @ (2, 1) ddot that np.linalg.norm calls,
         so one action and a stack give the same bits.
         """
-        accuracy = -np.abs(a - self.empirical[t]).sum(axis=-1)
+        gaps = np.abs(a - self.empirical[t])
+        accuracy = -(gaps[..., 0] + gaps[..., 1])
         moves = a - prev
         norms = np.sqrt((moves[..., None, :] @ moves[..., :, None])[..., 0, 0])
         smoothness = -self.reward_config.lambda1 * norms

@@ -5,7 +5,11 @@ then biases, layer by layer): an allocation actor whose output head is
 a normalized-exponential map onto the simplex, and a scalar critic with
 a linear head. The flat layout doubles as the genome the evolutionary
 refiner crosses over and mutates; unflatten gives its per-layer views.
-Hidden activations are tanh, and everything is float64.
+Hidden activations are tanh, and everything is float64. A simplex head
+has exactly two outputs, the R&D and SG&A shares, and works on its two
+columns as views: ``np.maximum(y0, y1)`` and ``y0 + y1`` give the bits
+of numpy's row reductions for two outputs only, and cost one ufunc call
+where a reduction over the length-2 axis runs its loop once per row.
 
 One forward kernel, ``_forward_cached``, serves every caller. It reads
 the unflatten views of a (..., P) parameter stack (one vector, the
@@ -68,6 +72,8 @@ class MlpSpec:
             raise ContractError("at least one positive hidden layer is required")
         if self.output_head not in (SIMPLEX, LINEAR):
             raise ContractError(f"unknown output head {self.output_head!r}")
+        if self.output_head == SIMPLEX and self.output_dim != 2:
+            raise ContractError(f"a simplex head has 2 outputs, got {self.output_dim}")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_out, fan_in) per layer, input to output."""
@@ -132,9 +138,10 @@ def _forward_cached(layers, spec, x):
     y += b[..., None, :]
     if spec.output_head == SIMPLEX:
         # Row-wise normalized exponential, shifted by the row maximum.
-        y -= np.maximum.reduce(y, axis=-1, keepdims=True)
+        y0, y1 = y[..., :1], y[..., 1:]
+        y -= np.maximum(y0, y1)
         np.exp(y, out=y)
-        y /= np.add.reduce(y, axis=-1, keepdims=True)
+        y /= y0 + y1
     cache.append((w, a, y))
     return y, cache
 
@@ -156,7 +163,8 @@ def _backward(spec, cache, upstream, grads, to_input):
             g = np.multiply(g, d, out=d)
         elif spec.output_head == SIMPLEX:
             # Through the normalized-exponential head: dz = y * (u - <u, y>).
-            g = out * (g - np.add.reduce(g * out, axis=-1, keepdims=True))
+            gy = g * out
+            g = out * (g - (gy[..., :1] + gy[..., 1:]))
         if grads is not None:
             g_w, g_b = grads[i]
             np.matmul(g.swapaxes(-1, -2), a_in, out=g_w)
@@ -202,7 +210,7 @@ def forward_actor(params: np.ndarray, spec: MlpSpec, state: np.ndarray) -> np.nd
     if not isinstance(params, list):
         params = unflatten(_as_vector(spec, params), spec)
     y = _forward_cached(params, spec, state[None])[0][0]
-    if not np.isfinite(y).all():
+    if not np.logical_and.reduce(np.isfinite(y)):
         raise NumericError("actor produced a non-finite allocation")
     return y
 

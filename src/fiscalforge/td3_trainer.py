@@ -9,12 +9,15 @@ the actor output, re-projected onto the allocation simplex; the warmup
 phase fills the buffer with uniform-random allocations.
 
 The environment is open-loop (state t is quarter t, whatever the
-actions), so training reads the env's tables and never steps it. Each
-pass of the loop takes a block of steps, validated, scored and pushed
-once: during warmup the rest of the episode segment, one Dirichlet
-block (the same stream as one draw per step), and after it one actor
-step. The replay ring holds each transition's step index, action and
-reward; a minibatch reads its states from the env's tables.
+actions), so training reads the env's tables and never steps it.
+Episodes run back to back, so run step s is episode step s % T, and
+actions are taken in blocks, each validated, scored and pushed once:
+the warmup in blocks of at most buffer_capacity steps that run across
+episode ends, each one Dirichlet draw (the same stream as one draw per
+step), and after it one actor step per block. An episode's total is
+closed at its last step index. The replay ring holds each transition's
+step index, action and reward; a minibatch reads its states from the
+env's tables.
 
 The actor and the (2, P) twin critics are views of one flat online
 buffer, their targets views of one flat target buffer of the same
@@ -289,37 +292,38 @@ def train(env: BudgetEnv, config: TD3Config) -> TrainedPolicy:
     n_steps = len(env.empirical)
     episode_rewards: list[float] = []
     episode_total = 0.0
+    prev = UNIFORM_ACTION
     n_updates = 0
     network = "actor"  # the network a NumericError is charged to
-    warmup = min(config.warmup_steps, config.total_timesteps)
 
-    t, prev = 0, UNIFORM_ACTION
-    step = 0
-    try:
-        while step < config.total_timesteps:
-            if step < warmup:
-                # The rest of the episode or of the warmup, as one block.
-                k = min(warmup - step, n_steps - t)
-                a = rng.dirichlet([1.0, 1.0], size=k)
-            else:
-                k = 1
-                noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
-                a = clip_to_simplex(forward_actor(actor.layers, ACTOR_SPEC, states[t]) + noise)
-                a = a[None]
-            a = validate_action(a)
-            prevs = np.concatenate([prev[None], a[:-1]])
-            totals = env.rewards(a, prevs, slice(t, t + k)).total
-            buffer.push(np.arange(t, t + k), a, totals)
-            for total in totals.tolist():
-                episode_total += total
-            step += k
-            t, prev = t + k, a[-1]
-            if t == n_steps:
+    def take(ts: np.ndarray, a: np.ndarray) -> None:
+        """Score, push and total the validated actions a taken at the episode steps ts."""
+        nonlocal episode_total, prev
+        prevs = np.concatenate([prev[None], a[:-1]])
+        prevs[ts == 0] = UNIFORM_ACTION  # each episode starts after the uniform action
+        totals = env.rewards(a, prevs, ts).total
+        buffer.push(ts, a, totals)
+        for t, total in zip(ts.tolist(), totals.tolist()):
+            episode_total += total
+            if t == n_steps - 1:
                 episode_rewards.append(episode_total)
                 episode_total = 0.0
-                t, prev = 0, UNIFORM_ACTION
+        prev = a[-1]
 
-            if step <= config.warmup_steps or len(buffer) < config.batch_size:
+    # Episodes run back to back, so step s is episode step s % n_steps. A
+    # warmup block is at most the ring's size, the most of it the ring keeps.
+    warmup = min(config.warmup_steps, config.total_timesteps)
+    for start in range(0, warmup, config.buffer_capacity):
+        ts = np.arange(start, min(start + config.buffer_capacity, warmup)) % n_steps
+        take(ts, validate_action(rng.dirichlet([1.0, 1.0], size=len(ts))))
+
+    try:
+        for step in range(warmup, config.total_timesteps):
+            t = step % n_steps
+            noise = rng.normal(0.0, config.exploration_sigma, size=ACTION_DIM)
+            a = clip_to_simplex(forward_actor(actor.layers, ACTOR_SPEC, states[t]) + noise)
+            take(np.array([t]), validate_action(a[None]))
+            if len(buffer) < config.batch_size:
                 continue
 
             n_updates += 1

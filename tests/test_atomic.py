@@ -81,6 +81,18 @@ def test_json_round_trip(tmp_path_factory, value):
     assert _exact(json.loads(text)) == _exact(value)
 
 
+@settings(max_examples=150, deadline=None)
+@given(value=json_values | st.dictionaries(st.text(max_size=5), json_values, max_size=4),
+       flat=st.lists(numbers | st.just(float("nan")) | st.just(float("inf")), max_size=6))
+def test_json_bytes_are_the_indenting_encoders(tmp_path_factory, value, flat):
+    """Whatever write_json renders through the C encoder, the bytes are json.dumps's."""
+    for doc in (value, {"flat": flat, "x": value}):
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        write_json(path, doc)
+        want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert path.read_text(encoding="utf-8") == want
+
+
 def _rows_then_failure():
     yield (1, 2.5)
     yield (2, -0.0)

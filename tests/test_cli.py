@@ -21,8 +21,9 @@ import fiscalforge
 from fiscalforge import cli, errors
 from fiscalforge.cli import load_run_config, main
 from fiscalforge.errors import ConfigError
+from fiscalforge.neural_core import MlpSpec, init_params, save_checkpoint
 from fiscalforge.quantum_ga import PERTURBATION_BINS
-from fiscalforge.td3_trainer import ACTOR_SPEC
+from fiscalforge.td3_trainer import ACTOR_SPEC, STATE_DIM
 
 from conftest import FIXTURE_CSV
 
@@ -484,6 +485,20 @@ class TestEvaluateCommand:
         first = (tmp_path / "out" / "metrics.json").read_bytes()
         main(["evaluate", "--config", str(config)])
         assert (tmp_path / "out" / "metrics.json").read_bytes() == first
+
+    def test_three_wide_simplex_checkpoint_exits_3(self, tmp_path, capsys):
+        """A simplex head has two outputs, so a header declaring three is a corrupt checkpoint."""
+        config = _write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        linear = MlpSpec(STATE_DIM, (4,), 3, "linear")
+        save_checkpoint(out / "actor.ckpt", linear, init_params(linear, 0))
+        blob = bytearray((out / "actor.ckpt").read_bytes())
+        blob[8] = 1  # the head code after the magic and the version: simplex
+        (out / "actor.ckpt").write_bytes(bytes(blob))
+        assert main(["evaluate", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert "artifact error" in err and "corrupt checkpoint" in err and "2 outputs" in err
 
     def test_prefers_refined_checkpoint(self, tmp_path):
         config = _write_config(tmp_path)

@@ -72,6 +72,14 @@ class TestLoadSeries:
         with pytest.raises(DataError, match="header"):
             load_series(_write_csv(tmp_path, WELL_FORMED, header="a,b,c,d"))
 
+    def test_utf8_bom_accepted(self, tmp_path):
+        """Excel's "CSV UTF-8" export starts the file with a byte order mark."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + _write_csv(tmp_path, WELL_FORMED).read_bytes())
+        series = load_series(path)
+        assert series.periods[0] == "2020-Q1"
+        assert series.values[0].tolist() == [10.0, 5.0, 100.0]
+
     def test_rows_sorted_chronologically(self, tmp_path):
         shuffled = [WELL_FORMED[2], WELL_FORMED[0], WELL_FORMED[3], WELL_FORMED[1]]
         series = load_series(_write_csv(tmp_path, shuffled))

@@ -114,12 +114,12 @@ _SPECIAL_ROWS = np.array([[a, b] for a in _SPECIAL for b in _SPECIAL])
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 8, 9, 17, 33, len(_SPECIAL_ROWS)])
 def test_clamps_are_the_np_clip_calls_they_replace(rows):
-    """np.maximum(a, 0.0) in validate_action and ndarray.clip in clip_to_simplex
-    give np.clip's bits, the sign of zero and NaN payloads included, at stack
-    lengths that reach numpy's vector loops and their scalar tails."""
+    """np.maximum(a, 0.0) in validate_action and np.minimum(np.maximum(0.0, a), 1.0)
+    in clip_to_simplex give np.clip's bits, the sign of zero and NaN payloads
+    included, at stack lengths that reach numpy's vector loops and their scalar tails."""
     a = np.roll(_SPECIAL_ROWS, rows, axis=0)[:rows]
     assert np.maximum(a, 0.0).tobytes() == np.clip(a, 0.0, None).tobytes()
-    assert a.clip(0.0, 1.0).tobytes() == np.clip(a, 0.0, 1.0).tobytes()
+    assert np.minimum(np.maximum(0.0, a), 1.0).tobytes() == np.clip(a, 0.0, 1.0).tobytes()
 
 
 def _reference_validate(action):
@@ -149,6 +149,16 @@ def test_validate_action_matches_its_reference(rows, shape):
         assert str(got.value) == str(exc)
     else:
         assert validate_action(a).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 8, 17, len(_SPECIAL_ROWS)])
+def test_clip_to_simplex_matches_its_reference(rows):
+    """The bits of the clamp, row sum and guarded division spelled with numpy's wrappers."""
+    a = np.roll(_SPECIAL_ROWS, rows, axis=0)[:rows]
+    v = a.clip(0.0, 1.0)
+    sums = v.sum(axis=-1, keepdims=True)
+    want = np.divide(v, sums, out=np.full_like(v, 0.5), where=~(sums <= 0.0))
+    assert clip_to_simplex(a).tobytes() == want.tobytes()
 
 
 def _bits(result):

@@ -1,6 +1,8 @@
 """Forward, backward, layout, and checkpoint behavior of the networks."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,6 +44,11 @@ class TestMlpSpec:
     def test_rejects_unknown_head(self):
         with pytest.raises(ContractError):
             MlpSpec(3, (4,), 2, "sigmoid")
+
+    @pytest.mark.parametrize("width", [1, 3, 4])
+    def test_simplex_head_has_two_outputs(self, width):
+        with pytest.raises(ContractError, match="2 outputs"):
+            MlpSpec(3, (4,), width, "simplex")
 
 
 class TestInitParams:
@@ -259,9 +266,17 @@ class TestCheckpoint:
         with pytest.raises(ArtifactError):
             load_checkpoint(path)
 
-    def test_json_export(self, tmp_path):
-        import json
+    def test_three_wide_simplex_header_rejected(self, tmp_path):
+        """A header that declares a 3-wide simplex head is a corrupt checkpoint."""
+        path, linear = tmp_path / "wide.ckpt", MlpSpec(3, (4,), 3, "linear")
+        save_checkpoint(path, linear, init_params(linear, 4))
+        blob = bytearray(path.read_bytes())
+        blob[8] = 1  # the head code after the magic and the version: simplex
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactError, match="2 outputs"):
+            load_checkpoint(path)
 
+    def test_json_export(self, tmp_path):
         spec = MlpSpec(1, (1,), 2, "simplex")
         params = np.array([2.0, 0.1, 1.5, -0.5, 0.2, -0.1])
         path = tmp_path / "actor.json"
@@ -330,13 +345,18 @@ def test_one_network_entry_points_reject_a_stack(call, k, tmp_path):
         call(spec, stack, tmp_path)
 
 
-_specs = st.builds(
-    MlpSpec,
-    input_dim=st.integers(1, 6),
-    hidden_dims=st.lists(st.integers(1, 8), min_size=1, max_size=3).map(tuple),
-    output_dim=st.integers(1, 4),
-    output_head=st.sampled_from(["simplex", "linear"]),
-)
+def _mlp_specs(max_hidden):
+    """Specs of either head: a linear head 1 to 4 wide, a simplex head 2 wide."""
+    return st.sampled_from(["simplex", "linear"]).flatmap(lambda head: st.builds(
+        MlpSpec,
+        input_dim=st.integers(1, 6),
+        hidden_dims=st.lists(st.integers(1, max_hidden), min_size=1, max_size=3).map(tuple),
+        output_dim=st.just(2) if head == "simplex" else st.integers(1, 4),
+        output_head=st.just(head),
+    ))
+
+
+_specs = _mlp_specs(8)
 
 
 def _any_bits(spec, seed):
@@ -392,18 +412,60 @@ class TestRoundTripProperties:
             pass
 
 
+_EDGE_PARAMS = (-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e-300,
+                1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_specs, data=st.data())
+def test_json_export_is_the_indented_dump(spec, data, tmp_path_factory):
+    """actor.json's bytes are json.dumps's with indent=2, and it reads back bit for bit."""
+    values = st.one_of(st.sampled_from(_EDGE_PARAMS), st.floats())
+    n = spec.param_count()
+    params = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    path = tmp_path_factory.mktemp("json") / "actor.json"
+    export_json(path, spec, params)
+    doc = asdict(spec) | {"params": params.tolist()}
+    assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    loaded = np.array(json.loads(path.read_text(encoding="utf-8"))["params"])
+    nan = np.isnan(params)
+    assert np.array_equal(np.isnan(loaded), nan)
+    assert loaded[~nan].tobytes() == params[~nan].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(hidden=st.integers(1, 8), n=st.sampled_from([1, 3, 64]), seed=st.integers(0, 2**32 - 1),
+       zeros=st.sampled_from([0.0, -0.0]))
+def test_simplex_head_is_numpys_row_reductions(hidden, n, seed, zeros):
+    """The head's column forms give the bits of the max and sum reductions over its
+    two outputs, forward and backward, with exactly-zero upstream gradients too."""
+    spec = MlpSpec(3, (hidden,), 2, "simplex")
+    rng = np.random.default_rng(seed)
+    layers = unflatten(rng.normal(0, 3.0, size=spec.param_count()), spec)
+    x = rng.normal(size=(n, 3))
+    upstream = rng.normal(size=(n, 2))
+    upstream[rng.random(size=(n, 2)) < 0.3] = zeros
+    y, cache = _forward_cached(layers, spec, x)
+    grads = unflatten(np.empty(spec.param_count()), spec)
+    _backward(spec, cache, upstream, grads, False)
+
+    (w1, b1), (w2, b2) = layers
+    z = np.tanh(x @ w1.T + b1) @ w2.T + b2
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    assert y.tobytes() == z.tobytes()
+    dz = z * (upstream - np.add.reduce(upstream * z, axis=-1, keepdims=True))
+    assert grads[1][1].tobytes() == np.add.reduce(dz, axis=-2).tobytes()
+    assert grads[1][0].tobytes() == (dz.T @ cache[1][1]).tobytes()
+
+
 class TestParameterStacks:
     """A (K, P) stack through the kernel is K one-network passes, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
-        spec=st.builds(
-            MlpSpec,
-            input_dim=st.integers(1, 6),
-            hidden_dims=st.lists(st.integers(1, 64), min_size=1, max_size=3).map(tuple),
-            output_dim=st.integers(1, 4),
-            output_head=st.sampled_from(["simplex", "linear"]),
-        ),
+        spec=_mlp_specs(64),
         k=st.integers(1, 4),
         n=st.sampled_from([1, 2, 17, 64]),
         seed=st.integers(0, 2**32 - 1),

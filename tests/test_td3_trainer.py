@@ -1,5 +1,6 @@
 """Trainer mechanics: targets, noise, replay, updates, end-to-end runs."""
 
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -216,7 +217,7 @@ class TestReplayBuffer:
 
 @pytest.mark.parametrize("k", [1, 2, 7, 777])
 def test_batched_dirichlet_is_the_single_draw_stream(k):
-    """Warmup draws a segment's k actions at once: the same rows as k single
+    """Warmup draws a block's k actions at once: the same rows as k single
     draws, leaving the generator in the same state."""
     batched, single = np.random.default_rng(17), np.random.default_rng(17)
     block = batched.dirichlet([1.0, 1.0], size=k)
@@ -468,6 +469,7 @@ class TestPerUpdateWork:
         (neural_core, "unflatten"), (neural_core, "forward_actor"),
         (td3_trainer, "critic_update"), (td3_trainer, "actor_update"),
         (td3_trainer, "soft_update"), (td3_trainer.ReplayBuffer, "sample"),
+        (td3_trainer.ReplayBuffer, "push"),
     )
 
     def _calls(self, config):
@@ -487,16 +489,19 @@ class TestPerUpdateWork:
         return counts
 
     def test_buffers_are_split_once_and_each_step_runs_once(self):
-        warmup, delay = 50, 2
+        warmup, capacity, delay = 50, 20, 2
         runs = {}
         for past_warmup in (200, 400):
             config = TD3Config(total_timesteps=warmup + past_warmup, warmup_steps=warmup,
-                               batch_size=16, actor_delay=delay, seed=8)
+                               buffer_capacity=capacity, batch_size=16, actor_delay=delay,
+                               seed=8)
             runs[past_warmup] = calls = self._calls(config)
             # Every step past warmup is one exploration action and one update.
             assert calls["forward_actor"] == past_warmup
             assert calls["critic_update"] == calls["sample"] == past_warmup
             assert calls["actor_update"] == calls["soft_update"] == past_warmup // delay
+            # The warmup's 50 steps over 7-step episodes are 3 ring-sized blocks.
+            assert calls["push"] == math.ceil(warmup / capacity) + past_warmup
         assert runs[200]["unflatten"] == runs[400]["unflatten"] > 0
 
 
@@ -674,9 +679,13 @@ class TestTrainOracleProperty:
                               batch_size=4, seed=5))
     @example(config=TD3Config(total_timesteps=20, warmup_steps=33, buffer_capacity=12,
                               batch_size=4, seed=6))
-    # Each warmup segment of 7 steps is a block longer than the 5-row ring.
+    # Two 7-step episodes of warmup over a 5-row ring: blocks of 5, 5 and 4 steps.
     @example(config=TD3Config(total_timesteps=30, warmup_steps=2 * _EPISODE,
                               buffer_capacity=5, batch_size=4, seed=7))
+    # A warmup of three and a half episodes, longer than the 6-row ring: its
+    # blocks of 6 steps run across episode ends.
+    @example(config=TD3Config(total_timesteps=45, warmup_steps=3 * _EPISODE + 4,
+                              buffer_capacity=6, batch_size=4, actor_delay=1, seed=8))
     def test_bit_identical_to_step_by_step_loop(self, config):
         policy = train(_small_env(), config)
         actor, aux, rewards = _oracle_train(_small_series(), config)
