@@ -263,6 +263,7 @@ def cmd_evaluate(cfg: RunConfig) -> MetricsReport:
     policy = _load_actor(ckpt)
     out = cfg.output_dir
     report, actions, rewards = evaluate_policy(policy, env)
+    _remove(out, _EVALUATE_OUTPUTS)
     write_trace(env, actions, rewards, out / "trace.jsonl")
     write_json(out / "metrics.json", asdict(report))
     write_csv(

@@ -2,11 +2,11 @@
 
 Standard twin-delayed machinery scaled to a desk-size environment:
 a ring replay buffer, two critics regressed onto the clipped double
-estimate (min of both target critics), an actor updated every
-``actor_delay`` critic steps by ascending critic 1, and slowly tracking
-target copies of all three networks. Exploration is Gaussian noise on
-the actor output, re-projected onto the allocation simplex; the warmup
-phase fills the buffer with uniform-random allocations.
+estimate (min of both target critics), an actor descending -Q1 every
+``actor_delay`` critic steps, and slowly tracking target copies of all
+three networks. Exploration is Gaussian noise on the actor output,
+re-projected onto the allocation simplex; the warmup phase fills the
+buffer with uniform-random allocations.
 
 The environment is open-loop (state t is quarter t, whatever the
 actions), so training reads the env's tables and never steps it.
@@ -16,17 +16,17 @@ the warmup in blocks of at most buffer_capacity steps that run across
 episode ends, each one Dirichlet draw (the same stream as one draw per
 step), and after it one actor step per block. An episode's total is
 closed at its last step index. The replay ring holds each transition's
-step index, action and reward; a minibatch reads its states from the
-env's tables.
+step index, action and reward, each block written at its cursor; a
+minibatch reads its states from the env's tables.
 
 The actor and the (2, P) twin critics are views of one flat online
 buffer, their targets views of one flat target buffer of the same
 layout. train splits each network into its unflatten views once and
 keeps them valid by writing only in place: the critic and actor steps
-into their parameter and gradient buffers (``Trainable``), soft_update
-into the target buffer, and the minibatch into two preallocated
-(batch, 5) critic-input buffers. An update runs one forward pass per
-network, the twin critics as one stacked pass: the target actor and
+into their parameter and gradient buffers (``Trainable.descend``),
+soft_update into the target buffer, and the minibatch into two
+preallocated (batch, 5) critic-input buffers. An update runs one forward
+pass per network, the twin critics as one stacked pass: the target actor and
 critics for the regression targets, the online critics for their loss,
 and, on actor steps, the actor and critic 1 for the policy gradient.
 Each backward pass runs from its forward pass's cache and computes only
@@ -92,21 +92,17 @@ class ReplayBuffer:
         self._cursor = 0
 
     def push(self, steps: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> None:
-        """Append a (k, ...) block of transitions in order, as k single pushes would.
+        """Write a (k, ...) block of transitions at the cursor, as k single pushes would.
 
-        A block longer than the capacity keeps only its last capacity rows.
+        A block that would run past the last slot is a ContractError, and nothing is written.
         """
-        k = len(rewards)
-        skip = max(k - self.capacity, 0)
-        start = (self._cursor + skip) % self.capacity
-        rows = k - skip
-        first = min(rows, self.capacity - start)
+        k, start = len(rewards), self._cursor
+        if start + k > self.capacity:
+            raise ContractError(f"{k} rows at slot {start} overrun a ring of {self.capacity}")
         for dst, src in zip(self._fields, (steps, actions, rewards)):
-            dst[start:start + first] = src[skip:skip + first]
-            if first < rows:  # the block wraps past the end of the ring
-                dst[:rows - first] = src[skip + first:]
-        self._cursor = (start + rows) % self.capacity
-        self._size = min(self._size + rows, self.capacity)
+            dst[start:start + k] = src
+        self._cursor = (start + k) % self.capacity
+        self._size = min(self._size + k, self.capacity)
 
     def __len__(self) -> int:
         return self._size
@@ -171,6 +167,14 @@ class Trainable:
         self.spec, self.params, self.grad = spec, params, np.empty_like(params)
         self.layers, self.grad_layers = unflatten(params, spec), unflatten(self.grad, spec)
 
+    def descend(self, learning_rate: float, name: str) -> None:
+        """params -= learning_rate * grad in place, or NumericError naming the network
+        if a parameter is then non-finite, as a non-finite loss or gradient leaves it."""
+        self.grad *= learning_rate
+        self.params -= self.grad
+        if not np.isfinite(self.params).all():
+            raise NumericError(f"{name} step left non-finite parameters")
+
 
 def smoothed_target_actions(
     params, spec: MlpSpec, next_states: np.ndarray, sigma: float, clip: float,
@@ -220,17 +224,13 @@ def critic_update(
     pred, cache = _forward_cached(critics.layers, spec, x)
     err = pred - targets.reshape(n, 1)
     _backward(spec, cache, 2.0 * err / n, critics.grad_layers, False)
-    # A non-finite loss or gradient always leaves non-finite parameters.
-    critics.grad *= learning_rate
-    critics.params -= critics.grad
-    if not np.isfinite(critics.params).all():
-        raise NumericError("critic step left non-finite parameters")
+    critics.descend(learning_rate, "critic")
 
 
 def actor_update(
     actor: Trainable, critic1: list, critic: MlpSpec, x: np.ndarray, learning_rate: float
 ) -> None:
-    """One ascent step on the batch mean of critic 1 at the actor's actions, in place.
+    """One descent step on minus the batch mean of critic 1 at the actor's actions, in place.
 
     critic1 is critic 1's unflatten views, of spec critic. x is an (n,
     critic.input_dim) buffer whose first actor.spec.input_dim columns
@@ -243,10 +243,9 @@ def actor_update(
     _, critic_cache = _forward_cached(critic1, critic, x)
     input_grad = _backward(critic, critic_cache, np.full((n, 1), 1.0 / n), None, True)
     _backward(actor.spec, actor_cache, input_grad[:, d:], actor.grad_layers, False)
-    actor.grad *= learning_rate
-    actor.params += actor.grad
-    if not np.isfinite(actor.params).all():
-        raise NumericError("actor step left non-finite parameters")
+    # grad is Q1's, so -Q1 descends at -learning_rate: x - (-y) is x + y in IEEE, signed
+    # zeros included. A -1/n seed would differ where a sum cancels to +0 at a -0 parameter.
+    actor.descend(-learning_rate, "actor")
 
 
 def soft_update(target_params: np.ndarray, online_params: np.ndarray, tau: float) -> np.ndarray:

@@ -42,6 +42,7 @@ TRAIN_FILES = {
     "history.jsonl",
 }
 REFINE_FILES = {"refined_actor.ckpt", "generations.jsonl", "perturbations.csv"}
+EVALUATE_FILES = {"metrics.json", "pairs.csv", "trace.jsonl", "summary.json"}
 
 
 def _mutated_csv(directory, cells):
@@ -534,7 +535,10 @@ class TestPipelineCommand:
     @pytest.mark.parametrize("stage, kept, scored", [
         ("train", TRAIN_FILES, "actor.ckpt"),
         ("refine", TRAIN_FILES | REFINE_FILES, "refined_actor.ckpt"),
-    ], ids=["train", "refine"])
+        # summary.json is the pipeline's, built on the metrics evaluate replaces.
+        ("evaluate", TRAIN_FILES | REFINE_FILES | (EVALUATE_FILES - {"summary.json"}),
+         "refined_actor.ckpt"),
+    ], ids=["train", "refine", "evaluate"])
     def test_rerun_stage_leaves_no_older_downstream_artifact(
         self, tmp_path, monkeypatch, stage, kept, scored
     ):
@@ -688,19 +692,24 @@ def test_failed_write_leaves_every_artifact_whole(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize("stage, failing", [
     ("train", "history.jsonl"),
     ("refine", "generations.jsonl"),
+    ("evaluate", "pairs.csv"),
 ])
 def test_failed_stage_leaves_none_of_its_older_outputs(
     tmp_path, monkeypatch, capsys, stage, failing
 ):
     """A 3-generation pipeline, then a 1-generation rerun of one stage at
     another seed whose write of one output fails: main exits 3, and every
-    output of that stage still present is the rerun's, not the pipeline's."""
+    output of that stage still present is the rerun's, not the pipeline's.
+    Before evaluate reruns, refined_actor.ckpt is deleted, so it scores
+    actor.ckpt."""
     from fiscalforge import atomic
 
     config = _write_config(tmp_path, {"ga": {"generations": 3}})
     assert main(["pipeline", "--config", str(config)]) == 0
     out = tmp_path / "out"
     old = {p.name: p.read_bytes() for p in out.iterdir()}
+    if stage == "evaluate":
+        (out / "refined_actor.ckpt").unlink()
     config = _write_config(tmp_path, {"ga": {"generations": 1}})
 
     def failing_open(file, *args, **kwargs):
@@ -711,7 +720,7 @@ def test_failed_stage_leaves_none_of_its_older_outputs(
     monkeypatch.setattr(atomic, "open", failing_open, raising=False)
     assert main([stage, "--config", str(config), "--seed", "8"]) == 3
     assert "injected" in capsys.readouterr().err
-    stage_files = TRAIN_FILES if stage == "train" else REFINE_FILES
+    stage_files = {"train": TRAIN_FILES, "refine": REFINE_FILES, "evaluate": EVALUATE_FILES}[stage]
     left = {p.name for p in out.iterdir()} & stage_files
     assert failing not in left
     assert left, "the stage wrote nothing before the failing write"

@@ -158,6 +158,19 @@ def _push(buf, i):
     buf.push(*_block(i, 1))
 
 
+def _assert_same_ring(got, want, pushed):
+    """got and want, each pushed transitions 0 .. pushed - 1, hold the same rows: equal len
+    and samples, and after one more push each, so the cursors must agree too."""
+    for check in range(2):
+        assert len(got) == len(want) == min(pushed + check, want.capacity)
+        if len(want):
+            for got_field, want_field in zip(got.sample(200, np.random.default_rng(check)),
+                                             want.sample(200, np.random.default_rng(check))):
+                np.testing.assert_array_equal(got_field, want_field)
+        _push(got, pushed)
+        _push(want, pushed)
+
+
 class TestReplayBuffer:
     def test_eviction_keeps_most_recent(self):
         buf = ReplayBuffer(capacity=5)
@@ -194,9 +207,10 @@ class TestReplayBuffer:
             ReplayBuffer(4).sample(2, np.random.default_rng(0))
 
     @settings(max_examples=25, deadline=None)
-    @given(capacity=st.integers(1, 6), before=st.integers(0, 10), k=st.integers(0, 15))
-    def test_block_push_equals_single_pushes(self, capacity, before, k):
-        """A (k, ...) block lands as k single pushes would, a block longer than the ring too."""
+    @given(capacity=st.integers(1, 6), before=st.integers(0, 10), data=st.data())
+    def test_block_push_equals_single_pushes(self, capacity, before, data):
+        """A (k, ...) block that ends at or before the last slot lands as k single pushes would."""
+        k = data.draw(st.integers(0, capacity - before % capacity), label="k")
         single, block = ReplayBuffer(capacity), ReplayBuffer(capacity)
         for buf in (single, block):
             for i in range(before):
@@ -204,15 +218,21 @@ class TestReplayBuffer:
         for i in range(before, before + k):
             _push(single, i)
         block.push(*_block(before, k))
-        # Then one more push each, so the cursors must agree too.
-        for check in range(2):
-            assert len(block) == len(single) == min(before + k + check, capacity)
-            if len(single):
-                for got, want in zip(block.sample(200, np.random.default_rng(check)),
-                                     single.sample(200, np.random.default_rng(check))):
-                    np.testing.assert_array_equal(got, want)
-            _push(single, before + k)
-            _push(block, before + k)
+        _assert_same_ring(block, single, before + k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(capacity=st.integers(1, 6), before=st.integers(0, 10), data=st.data())
+    def test_block_past_the_last_slot_is_rejected_unwritten(self, capacity, before, data):
+        """A block that would run past the last slot raises ContractError before
+        any field is written: len, every later sample and the cursor are unchanged."""
+        k = data.draw(st.integers(capacity - before % capacity + 1, 2 * capacity + 1), label="k")
+        rejected, kept = ReplayBuffer(capacity), ReplayBuffer(capacity)
+        for buf in (rejected, kept):
+            for i in range(before):
+                _push(buf, i)
+        with pytest.raises(ContractError, match="overrun a ring"):
+            rejected.push(*_block(100, k))
+        _assert_same_ring(rejected, kept, before)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 777])
@@ -297,6 +317,37 @@ class TestCriticUpdate:
             np.testing.assert_array_equal(row_updated, alone)
 
 
+# Finite values with signed zeros and subnormals among them.
+_EDGY_FLOATS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+)
+
+
+@st.composite
+def _actor_cases(draw):
+    """A small actor, critic 1 of the matching input width, states and a learning rate."""
+    actor = MlpSpec(3, (draw(st.integers(1, 4)),), 2, "simplex")
+    critic = MlpSpec(5, (draw(st.integers(1, 4)),), 1, "linear")
+    n = draw(st.integers(1, 5))
+
+    def vector(size):
+        return np.array(draw(st.lists(_EDGY_FLOATS, min_size=size, max_size=size)))
+
+    states = vector(3 * n).reshape(n, 3)
+    lr = draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0]))
+    return actor, vector(actor.param_count()), critic, vector(critic.param_count()), states, lr
+
+
+def _signed_zero_biases():
+    """An actor with -0.0 biases under a zero critic: every gradient is a sum that cancels."""
+    actor = init_params(SMALL_ACTOR, 1)
+    for _, b in unflatten(actor, SMALL_ACTOR):
+        b[:] = -0.0
+    states = np.random.default_rng(0).normal(size=(3, 3))
+    return SMALL_ACTOR, actor, SMALL_CRITIC, np.zeros(SMALL_CRITIC.param_count()), states, 0.1
+
+
 class TestActorUpdate:
     def test_zero_learning_rate(self):
         rng = np.random.default_rng(6)
@@ -335,6 +386,24 @@ class TestActorUpdate:
         constant_critic = np.zeros(SMALL_CRITIC.param_count())  # Q(s, a) = 0
         states = rng.normal(size=(5, 3))
         np.testing.assert_array_equal(_actor_step(actor, constant_critic, states, 0.5), actor)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_actor_cases())
+    @example(case=_signed_zero_biases())
+    def test_descent_on_minus_q1_is_the_oracle_ascent_bit_for_bit(self, case):
+        """actor_update descends -Q1 by the negated step; the oracle adds lr * grad of
+        Q1 from vjp_batch. The bits agree, signed zeros and subnormals included.
+
+        Both read the states through x's strided view: with a 1-wide hidden
+        layer, numpy's (1, n) @ (n, 3) product can round a strided operand
+        differently in the last bit from a contiguous one, which is layout, not sign.
+        """
+        actor_spec, actor, critic_spec, critic, states, lr = case
+        x = np.concatenate([states, np.zeros((len(states), ACTION_DIM))], axis=1)
+        want = _oracle_actor_update(actor, actor_spec, critic, critic_spec, x[:, :3], lr)
+        net = Trainable(actor.copy(), actor_spec)
+        actor_update(net, unflatten(critic, critic_spec), critic_spec, x, lr)
+        np.testing.assert_array_equal(net.params.view(np.int64), want.view(np.int64))
 
 
 class TestSoftUpdate:
@@ -469,7 +538,7 @@ class TestPerUpdateWork:
         (neural_core, "unflatten"), (neural_core, "forward_actor"),
         (td3_trainer, "critic_update"), (td3_trainer, "actor_update"),
         (td3_trainer, "soft_update"), (td3_trainer.ReplayBuffer, "sample"),
-        (td3_trainer.ReplayBuffer, "push"),
+        (td3_trainer.ReplayBuffer, "push"), (td3_trainer.Trainable, "descend"),
     )
 
     def _calls(self, config):
@@ -500,6 +569,8 @@ class TestPerUpdateWork:
             assert calls["forward_actor"] == past_warmup
             assert calls["critic_update"] == calls["sample"] == past_warmup
             assert calls["actor_update"] == calls["soft_update"] == past_warmup // delay
+            # Every parameter step of either update is one descend.
+            assert calls["descend"] == calls["critic_update"] + calls["actor_update"]
             # The warmup's 50 steps over 7-step episodes are 3 ring-sized blocks.
             assert calls["push"] == math.ceil(warmup / capacity) + past_warmup
         assert runs[200]["unflatten"] == runs[400]["unflatten"] > 0
